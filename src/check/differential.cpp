@@ -8,6 +8,7 @@
 #include "dag/generators.hpp"
 #include "dag/science.hpp"
 #include "exp/experiment.hpp"
+#include "provisioning/policy.hpp"
 #include "scheduling/factory.hpp"
 #include "sim/validator.hpp"
 #include "util/rng.hpp"
@@ -37,15 +38,22 @@ util::Json DifferentialResult::to_json() const {
 
 namespace {
 
-/// RAII for the global reuse-index verification flag (the differential run
-/// turns it on; tests may already hold it on — restore what we found is not
-/// knowable, so we restore "off", matching the library default).
-class ScopedIndexVerification {
+/// RAII for the global verification flags — the VmPool's reuse index and
+/// PlacementContext's AllPar reuse scan — that the naive runs hold on. Tests
+/// may already hold them on; what we found is not knowable, so we restore
+/// "off", matching the library default.
+class ScopedVerification {
  public:
-  ScopedIndexVerification() { cloud::VmPool::set_index_verification(true); }
-  ~ScopedIndexVerification() { cloud::VmPool::set_index_verification(false); }
-  ScopedIndexVerification(const ScopedIndexVerification&) = delete;
-  ScopedIndexVerification& operator=(const ScopedIndexVerification&) = delete;
+  ScopedVerification() {
+    cloud::VmPool::set_index_verification(true);
+    provisioning::PlacementContext::set_scan_verification(true);
+  }
+  ~ScopedVerification() {
+    cloud::VmPool::set_index_verification(false);
+    provisioning::PlacementContext::set_scan_verification(false);
+  }
+  ScopedVerification(const ScopedVerification&) = delete;
+  ScopedVerification& operator=(const ScopedVerification&) = delete;
 };
 
 /// Rebuilds `wf` task-by-task into a brand-new Workflow. Copying a Workflow
@@ -183,7 +191,8 @@ DifferentialResult run_differential(
     const std::vector<exp::RunResult> fast =
         runner.run_all(structure, scenario.kind);
 
-    // Naive reference: cold workflow, fresh schedulers, index verification.
+    // Naive reference: cold workflow, fresh schedulers, index and scan
+    // verification.
     // The platform must carry the same scenario environment (cold-start
     // table, price schedule) the fast path derived, or the two sides would
     // legitimately differ.
@@ -192,7 +201,7 @@ DifferentialResult run_differential(
     const dag::Workflow cold = clone_cold(materialized);
     const cloud::Platform platform = runner.scenario_platform(scenario.kind);
 
-    ScopedIndexVerification verify_indices;
+    ScopedVerification verify;
 
     sim::ScheduleMetrics naive_reference;
     {

@@ -7,8 +7,9 @@
 // The reference side rebuilds the materialized workflow task-by-task (cold
 // StructureCache, no shared slot), constructs a fresh scheduler per strategy
 // via strategy_by_label, and runs with VmPool::set_index_verification(true)
-// so the incremental reuse index is cross-checked against a fresh sort on
-// every query. Agreement is bitwise: every double and every integer-micro
+// and PlacementContext::set_scan_verification(true), so the incremental
+// reuse index is cross-checked against a fresh sort on every query and
+// every AllPar reuse answer against the linear walk. Agreement is bitwise: every double and every integer-micro
 // Money amount of the two ScheduleMetrics must be identical, as must the
 // gain/loss percentages versus the per-case reference strategy.
 #pragma once
@@ -82,7 +83,7 @@ struct DifferentialResult {
 
 /// Runs the full differential sweep. Deterministic in `config`; safe to run
 /// concurrently with other work except that it toggles the global VM-index
-/// verification flag for the duration of the naive runs.
+/// and reuse-scan verification flags for the duration of the naive runs.
 /// `progress` (optional) is invoked after each case with (done, total).
 [[nodiscard]] DifferentialResult run_differential(
     const DifferentialConfig& config,

@@ -28,17 +28,8 @@ std::size_t max_width(const Workflow& wf) { return wf.structure()->max_width(); 
 
 std::vector<double> upward_rank(const Workflow& wf, const ExecTimeFn& exec,
                                 const CommTimeFn& comm) {
-  const auto sc = wf.structure();
-  std::vector<double> rank(wf.task_count(), 0.0);
-  const std::vector<TaskId>& order = sc->topo_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const TaskId t = *it;
-    double best = 0.0;
-    for (TaskId s : sc->succs(t))
-      best = std::max(best, comm(t, s) + rank[s]);
-    rank[t] = exec(t) + best;
-  }
-  return rank;
+  return wf.structure()->upward_rank(
+      exec, [&comm](TaskId from, TaskId to, std::size_t) { return comm(from, to); });
 }
 
 std::vector<double> downward_rank(const Workflow& wf, const ExecTimeFn& exec,
@@ -68,32 +59,8 @@ std::vector<TaskId> heft_order(const Workflow& wf, const ExecTimeFn& exec,
 
 std::vector<TaskId> critical_path(const Workflow& wf, const ExecTimeFn& exec,
                                   const CommTimeFn& comm) {
-  const std::vector<double> up = upward_rank(wf, exec, comm);
-  // Start from the entry with the largest upward rank; at each step follow the
-  // successor that realizes rank(t) = exec(t) + comm(t,s) + rank(s).
-  const std::vector<TaskId> entries = wf.entry_tasks();
-  if (entries.empty()) return {};
-  TaskId cur = entries.front();
-  for (TaskId e : entries)
-    if (up[e] > up[cur]) cur = e;
-
-  std::vector<TaskId> path{cur};
-  while (!wf.successors(cur).empty()) {
-    // Follow the successor realizing rank(t) = exec(t) + max(comm(t,s) + rank(s));
-    // lowest id wins floating-point ties, keeping the path deterministic.
-    TaskId next = kInvalidTask;
-    double best = -1.0;
-    for (TaskId s : wf.successors(cur)) {
-      const double via = comm(cur, s) + up[s];
-      if (via > best + util::kTimeEpsilon) {
-        best = via;
-        next = s;
-      }
-    }
-    path.push_back(next);
-    cur = next;
-  }
-  return path;
+  return wf.structure()->critical_path(
+      exec, [&comm](TaskId from, TaskId to, std::size_t) { return comm(from, to); });
 }
 
 util::Seconds critical_path_length(const Workflow& wf, const ExecTimeFn& exec,

@@ -14,20 +14,27 @@ StructureCache::StructureCache(const Workflow& wf) : n_(wf.task_count()) {
     pred_off_[i + 1] = pred_off_[i] + wf.predecessors(t).size();
     succ_off_[i + 1] = succ_off_[i] + wf.successors(t).size();
   }
-  pred_flat_.reserve(pred_off_[n_]);
-  pred_data_.reserve(pred_off_[n_]);
-  succ_flat_.reserve(succ_off_[n_]);
-  succ_data_.reserve(succ_off_[n_]);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const auto t = static_cast<TaskId>(i);
-    for (TaskId p : wf.predecessors(t)) {
-      pred_flat_.push_back(p);
-      pred_data_.push_back(wf.edge_data(p, t));
-    }
-    for (TaskId s : wf.successors(t)) {
-      succ_flat_.push_back(s);
-      succ_data_.push_back(wf.edge_data(t, s));
-    }
+  // One pass over the edge list fills both directions. Workflow::add_edge
+  // appends each edge to its producer's successor list and its consumer's
+  // predecessor list, so edge-list order is every adjacency list's order,
+  // and a running cursor per task gives each edge its position in both.
+  const std::size_t edges = pred_off_[n_];
+  pred_flat_.resize(edges);
+  pred_data_.resize(edges);
+  succ_flat_.resize(edges);
+  succ_data_.resize(edges);
+  succ_slot_.resize(edges);
+  std::vector<std::size_t> pred_fill(pred_off_.begin(), pred_off_.end() - 1);
+  std::vector<std::size_t> succ_fill(succ_off_.begin(), succ_off_.end() - 1);
+  for (const Edge& e : wf.edges()) {
+    const util::Gigabytes data = wf.edge_data(e);
+    const std::size_t in = pred_fill[e.to]++;
+    const std::size_t out = succ_fill[e.from]++;
+    pred_flat_[in] = e.from;
+    pred_data_[in] = data;
+    succ_flat_[out] = e.to;
+    succ_data_[out] = data;
+    succ_slot_[out] = in;
   }
 
   // Kahn with a min-id heap — the same algorithm as the historical
@@ -108,13 +115,8 @@ const std::vector<double>& StructureCache::upward_rank_memo(
   // Compute outside the lock: exec/comm are caller callbacks. Two threads
   // racing on one key produce the same deterministic vector; try_emplace
   // keeps the first.
-  std::vector<double> rank(n_, 0.0);
-  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-    const TaskId t = *it;
-    double best = 0.0;
-    for (TaskId s : succs(t)) best = std::max(best, comm(t, s) + rank[s]);
-    rank[t] = exec(t) + best;
-  }
+  std::vector<double> rank = upward_rank(
+      exec, [&comm](TaskId from, TaskId to, std::size_t) { return comm(from, to); });
   std::scoped_lock lock(memo_mu_);
   return rank_memo_.try_emplace(key, std::move(rank)).first->second;
 }

@@ -22,6 +22,7 @@
 // entries, so returned references stay valid for the cache's lifetime.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -68,6 +69,30 @@ class StructureCache {
   [[nodiscard]] std::size_t pred_edge_slot(TaskId t) const noexcept {
     return pred_off_[t];
   }
+
+  /// The dense incoming-edge slot of each outgoing edge of `t`, aligned with
+  /// succs(t): for s = succs(t)[i], preds(s)[succ_edge_slots(t)[i] -
+  /// pred_edge_slot(s)] == t. A walk along successors can index per-edge
+  /// tables with it instead of searching the consumer's predecessor list.
+  [[nodiscard]] std::span<const std::size_t> succ_edge_slots(TaskId t) const noexcept {
+    return {succ_slot_.data() + succ_off_[t], succ_off_[t + 1] - succ_off_[t]};
+  }
+
+  /// Upward ranks — the implementation behind dag::upward_rank and
+  /// upward_rank_memo: rank(t) = exec(t) + the max over succs(t) of
+  /// comm(t, s, slot) + rank(s), where `exec(t)` is a task's execution time
+  /// and `comm(from, to, slot)` an edge's transfer time, `slot` being the
+  /// edge's dense incoming-edge slot (succ_edge_slots).
+  template <class Exec, class Comm>
+  [[nodiscard]] std::vector<double> upward_rank(const Exec& exec, const Comm& comm) const;
+
+  /// One critical path from an entry to an exit — the implementation behind
+  /// dag::critical_path, with `exec` and `comm` as in upward_rank. The path
+  /// starts at the entry with the largest upward rank (lowest id on ties)
+  /// and follows, at each step, the first successor in succs() order whose
+  /// comm + rank beats the best so far by more than kTimeEpsilon.
+  template <class Exec, class Comm>
+  [[nodiscard]] std::vector<TaskId> critical_path(const Exec& exec, const Comm& comm) const;
 
   /// Deterministic Kahn order (min-id tie-break), == dag::topological_order.
   [[nodiscard]] const std::vector<TaskId>& topo_order() const noexcept {
@@ -125,6 +150,7 @@ class StructureCache {
   std::vector<std::size_t> pred_off_, succ_off_;  // CSR offsets, size n_+1
   std::vector<TaskId> pred_flat_, succ_flat_;
   std::vector<util::Gigabytes> pred_data_, succ_data_;
+  std::vector<std::size_t> succ_slot_;  // aligned with succ_flat_
   std::vector<TaskId> topo_;
   std::vector<int> levels_;
   std::vector<std::size_t> level_sizes_;
@@ -138,5 +164,52 @@ class StructureCache {
   mutable std::map<std::uint64_t, std::vector<double>> rank_memo_;
   mutable std::map<std::uint64_t, std::vector<TaskId>> order_memo_;
 };
+
+template <class Exec, class Comm>
+std::vector<double> StructureCache::upward_rank(const Exec& exec, const Comm& comm) const {
+  std::vector<double> rank(n_, 0.0);
+  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
+    const TaskId t = *it;
+    const std::span<const TaskId> ss = succs(t);
+    const std::span<const std::size_t> slots = succ_edge_slots(t);
+    double best = 0.0;
+    for (std::size_t i = 0; i < ss.size(); ++i)
+      best = std::max(best, comm(t, ss[i], slots[i]) + rank[ss[i]]);
+    rank[t] = exec(t) + best;
+  }
+  return rank;
+}
+
+template <class Exec, class Comm>
+std::vector<TaskId> StructureCache::critical_path(const Exec& exec, const Comm& comm) const {
+  const std::vector<double> rank = upward_rank(exec, comm);
+  TaskId cur = kInvalidTask;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const auto e = static_cast<TaskId>(i);
+    if (pred_off_[i + 1] == pred_off_[i] && (cur == kInvalidTask || rank[e] > rank[cur]))
+      cur = e;
+  }
+  if (cur == kInvalidTask) return {};
+
+  std::vector<TaskId> path{cur};
+  while (succ_off_[cur + 1] != succ_off_[cur]) {
+    // Follow the successor realizing rank(t) = exec(t) + max(comm + rank(s));
+    // the first one in succs() order wins floating-point ties.
+    const std::span<const TaskId> ss = succs(cur);
+    const std::span<const std::size_t> slots = succ_edge_slots(cur);
+    TaskId next = kInvalidTask;
+    double best = -1.0;
+    for (std::size_t i = 0; i < ss.size(); ++i) {
+      const double via = comm(cur, ss[i], slots[i]) + rank[ss[i]];
+      if (via > best + util::kTimeEpsilon) {
+        best = via;
+        next = ss[i];
+      }
+    }
+    path.push_back(next);
+    cur = next;
+  }
+  return path;
+}
 
 }  // namespace cloudwf::dag

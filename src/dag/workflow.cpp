@@ -103,8 +103,7 @@ util::Gigabytes Workflow::edge_data(TaskId from, TaskId to) const {
   check_task(to);
   const auto it = edge_index_.find(edge_key(from, to));
   if (it == edge_index_.end()) throw std::out_of_range("edge_data: no such edge");
-  const Edge& e = edges_[it->second];
-  return e.data >= 0 ? e.data : tasks_[from].output_data;
+  return edge_data(edges_[it->second]);
 }
 
 std::vector<TaskId> Workflow::entry_tasks() const {

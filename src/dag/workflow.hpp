@@ -115,6 +115,10 @@ class Workflow {
   /// Effective data carried on edge (from,to) in GB: the per-edge override
   /// if set, otherwise the producer's output_data. Throws if no such edge.
   [[nodiscard]] util::Gigabytes edge_data(TaskId from, TaskId to) const;
+  /// The same rule for an edge already in hand, e.g. one of edges().
+  [[nodiscard]] util::Gigabytes edge_data(const Edge& e) const noexcept {
+    return e.data >= 0 ? e.data : tasks_[e.from].output_data;
+  }
 
   /// Tasks with no predecessors, ascending by id. Non-empty for a valid DAG.
   [[nodiscard]] std::vector<TaskId> entry_tasks() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -112,6 +113,18 @@ util::Seconds PlacementContext::est_on(dag::TaskId t, const cloud::Vm& vm) const
   return est;
 }
 
+util::Seconds PlacementContext::predecessors_ready(dag::TaskId t) const {
+  util::Seconds ready = 0.0;
+  const sim::Schedule& schedule = *schedule_;
+  for (const dag::TaskId p : structure_->preds(t)) {
+    if (!schedule.is_assigned(p))
+      throw std::logic_error("est_on: predecessor '" + wf_->task(p).name +
+                             "' not yet assigned");
+    ready = std::max(ready, schedule.assignment(p).end);
+  }
+  return ready;
+}
+
 util::Seconds PlacementContext::est_on_new(dag::TaskId t) const {
   // A hypothetical endpoint: kInvalidVm never equals an existing id, so the
   // transfer model treats it as a distinct machine in the default region.
@@ -194,6 +207,15 @@ cloud::VmId PlacementContext::best_parallel_reuse(dag::TaskId t, bool exceed) {
   // Walk the survivors in (busy desc, id asc) order — exactly the
   // reuse_order() walk with the already-detected hosts of this level
   // removed. Hosts met for the first time are unlinked as we pass.
+  //
+  // The BTU test first tries a lower bound on est_on(t, vm): the max of the
+  // VM's free time, its boot delay and `ready`, the predecessors' latest
+  // finish. est_on adds a nonnegative transfer to every finish, so it is
+  // never below the bound, and placement_adds_btu is monotone in its
+  // start: a VM that already adds a BTU at the bound is skipped without
+  // est_on's walk over the predecessors. `ready` is read once per query,
+  // on the first VM that needs it.
+  std::optional<util::Seconds> ready;
   cloud::VmId winner = cloud::kInvalidVm;
   cloud::VmId* link = &scan_head_;
   while (*link != cloud::kInvalidVm) {
@@ -204,8 +226,17 @@ cloud::VmId PlacementContext::best_parallel_reuse(dag::TaskId t, bool exceed) {
       continue;
     }
     if (!exceed) {
-      const util::Seconds est = est_on(t, vm);
-      if (vm.placement_adds_btu(est, est + exec_time(t, vm.size()))) {
+      if (!ready) ready = predecessors_ready(t);
+      const util::Seconds exec = exec_time(t, vm.size());
+      const util::Seconds bound =
+          std::max({vm.available_from(),
+                    platform_->boot_delay(vm.size(), vm.region()), *ready});
+      bool adds_btu = vm.placement_adds_btu(bound, bound + exec);
+      if (!adds_btu) {
+        const util::Seconds est = est_on(t, vm);
+        adds_btu = vm.placement_adds_btu(est, est + exec);
+      }
+      if (adds_btu) {
         link = &scan_next_[vm.id()];  // BTU admissibility is per-task: keep
         continue;
       }

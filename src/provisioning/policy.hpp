@@ -163,6 +163,10 @@ class PlacementContext {
 
   [[nodiscard]] bool reuse_is_admissible(dag::TaskId t, const cloud::Vm& vm,
                                          bool exceed) const;
+  /// Latest finish among `t`'s predecessors (0 for an entry task) — a lower
+  /// bound on the predecessor term of est_on. Throws like est_on when a
+  /// predecessor is unassigned.
+  [[nodiscard]] util::Seconds predecessors_ready(dag::TaskId t) const;
   [[nodiscard]] cloud::VmId linear_parallel_reuse(dag::TaskId t, bool exceed) const;
 
   // Per-VM level occupancy, maintained lazily: vm_cursor_[id] placements of

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "dag/graph_algo.hpp"
 #include "dag/structure_cache.hpp"
 #include "obs/trace.hpp"
 #include "scheduling/upgrade.hpp"
@@ -38,9 +37,10 @@ sim::Schedule CpaEagerScheduler::run(const dag::Workflow& wf,
   // VMs; sizes only matter through link speeds, all >= small's 1 Gb — use
   // the current sizes for the endpoints). The critical path is recomputed
   // once per candidate, so both callbacks are table-backed: exec times per
-  // (size, task) up front, transfer times memoized per (edge, size pair).
-  // Every entry is the result of the identical exec_time / transfer_time
-  // call, keeping the path selection bit-identical.
+  // (size, task) up front, transfer times memoized per (edge slot, size
+  // pair) — the walk hands each edge's slot over, so no lookup searches a
+  // predecessor list. Every entry is the result of the identical exec_time
+  // / transfer_time call, keeping the path selection bit-identical.
   const std::shared_ptr<const dag::StructureCache> sc = wf.structure();
   std::array<std::vector<util::Seconds>, cloud::kSizeCount> exec_tbl;
   for (cloud::InstanceSize s : cloud::kAllSizes) {
@@ -51,18 +51,16 @@ sim::Schedule CpaEagerScheduler::run(const dag::Workflow& wf,
   }
   std::vector<util::Seconds> comm_memo(sc->edge_count() * kSizePairs, -1.0);
 
-  const auto comm = [&](dag::TaskId p, dag::TaskId t) {
-    const std::span<const dag::TaskId> preds = sc->preds(t);
-    std::size_t k = 0;
-    while (preds[k] != p) ++k;  // p is a predecessor by construction
+  const auto comm = [&](dag::TaskId p, dag::TaskId t, std::size_t edge_slot) {
     util::Seconds& slot =
-        comm_memo[(sc->pred_edge_slot(t) + k) * kSizePairs +
+        comm_memo[edge_slot * kSizePairs +
                   cloud::index_of(sizes[p]) * cloud::kSizeCount +
                   cloud::index_of(sizes[t])];
     if (slot < 0) {
       const cloud::Vm from(0, sizes[p], platform.default_region_id());
       const cloud::Vm to(1, sizes[t], platform.default_region_id());
-      slot = platform.transfer_time(sc->pred_data(t)[k], from, to);
+      slot = platform.transfer_time(
+          sc->pred_data(t)[edge_slot - sc->pred_edge_slot(t)], from, to);
     }
     return slot;
   };
@@ -75,7 +73,7 @@ sim::Schedule CpaEagerScheduler::run(const dag::Workflow& wf,
   std::unordered_set<dag::TaskId> rejected;
 
   for (;;) {
-    const std::vector<dag::TaskId> cp = dag::critical_path(wf, exec, comm);
+    const std::vector<dag::TaskId> cp = sc->critical_path(exec, comm);
 
     // Systematically attack the path: largest execution time first.
     dag::TaskId candidate = dag::kInvalidTask;

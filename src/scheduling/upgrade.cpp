@@ -92,10 +92,11 @@ void OneVmPerTaskRetimer::prime(std::span<const cloud::InstanceSize> sizes) {
     const std::vector<dag::TaskId>& topo = structure_->topo_order();
     for (std::size_t i = 0; i < topo.size(); ++i) topo_pos_[topo[i]] = i;
     queued_.assign(n, 0);
+    arrival_tree_.assign(2 * structure_->edge_count(), 0.0);
   }
   const cloud::Region& region = platform_->default_region();
   for (dag::TaskId t : structure_->topo_order()) {
-    retime_task(t);
+    retime_task(t, /*resized=*/true);
     contrib_[t] = region.price(inc_sizes_[t]) * cloud::btus_for(end_[t] - est_[t]);
     total_ += contrib_[t];
   }
@@ -128,38 +129,65 @@ util::Money OneVmPerTaskRetimer::set_size(dag::TaskId task,
     dirty_.pop();
     queued_[u] = 0;
     const util::Seconds old_end = end_[u];
-    retime_task(u);
+    retime_task(u, /*resized=*/u == task);
     // Recompute the contribution unconditionally: when nothing changed the
     // subtraction and re-addition cancel exactly (integer micro-dollars).
     total_ -= contrib_[u];
     contrib_[u] = region.price(inc_sizes_[u]) * cloud::btus_for(end_[u] - est_[u]);
     total_ += contrib_[u];
-    if (end_[u] != old_end)
+    // A successor's leaf for u is keyed on u's finish and on u's size.
+    const bool moved = end_[u] != old_end;
+    if (moved || u == task) refresh_out_arrivals(u);
+    if (moved)
       for (dag::TaskId s : structure_->succs(u)) push(s);
   }
   return total_;
 }
 
-void OneVmPerTaskRetimer::retime_task(dag::TaskId t) {
+util::Seconds OneVmPerTaskRetimer::arrival(dag::TaskId t, std::size_t k) {
+  const dag::TaskId p = structure_->preds(t)[k];
+  util::Seconds& slot =
+      transfer_[(structure_->pred_edge_slot(t) + k) * kSizePairs +
+                cloud::index_of(inc_sizes_[p]) * cloud::kSizeCount +
+                cloud::index_of(inc_sizes_[t])];
+  if (slot < 0) {
+    // Stand-in endpoints of the same sizes in the default region —
+    // transfer_time depends on sizes and regions only, so the memoized
+    // value equals the one retime() fills from scratch_'s VMs.
+    const cloud::Vm from(0, inc_sizes_[p], platform_->default_region_id());
+    const cloud::Vm to(1, inc_sizes_[t], platform_->default_region_id());
+    slot = platform_->transfer_time(structure_->pred_data(t)[k], from, to);
+  }
+  return end_[p] + slot;
+}
+
+void OneVmPerTaskRetimer::refresh_out_arrivals(dag::TaskId u) {
+  const std::span<const dag::TaskId> succs = structure_->succs(u);
+  const std::span<const std::size_t> slots = structure_->succ_edge_slots(u);
+  for (std::size_t i = 0; i < succs.size(); ++i) {
+    const dag::TaskId s = succs[i];
+    const std::size_t base = structure_->pred_edge_slot(s);
+    const std::size_t k = slots[i] - base;
+    util::Seconds* tree = arrival_tree_.data() + 2 * base;
+    std::size_t node = structure_->preds(s).size() + k;
+    tree[node] = arrival(s, k);
+    for (node >>= 1; node >= 1; node >>= 1)
+      tree[node] = std::max(tree[2 * node], tree[2 * node + 1]);
+  }
+}
+
+void OneVmPerTaskRetimer::retime_task(dag::TaskId t, bool resized) {
   util::Seconds est =
       platform_->boot_delay(inc_sizes_[t], platform_->default_region_id());
-  const std::span<const dag::TaskId> preds = structure_->preds(t);
-  const std::span<const util::Gigabytes> data = structure_->pred_data(t);
-  const std::size_t slot_base = structure_->pred_edge_slot(t);
-  for (std::size_t k = 0; k < preds.size(); ++k) {
-    util::Seconds& slot =
-        transfer_[(slot_base + k) * kSizePairs +
-                  cloud::index_of(inc_sizes_[preds[k]]) * cloud::kSizeCount +
-                  cloud::index_of(inc_sizes_[t])];
-    if (slot < 0) {
-      // Same-sized scratch endpoints in the default region — transfer_time
-      // depends on sizes and regions only, so the memoized value equals the
-      // one retime() fills from the scratch pool's VMs.
-      const cloud::Vm from(0, inc_sizes_[preds[k]], platform_->default_region_id());
-      const cloud::Vm to(1, inc_sizes_[t], platform_->default_region_id());
-      slot = platform_->transfer_time(data[k], from, to);
+  const std::size_t d = structure_->preds(t).size();
+  if (d > 0) {
+    util::Seconds* tree = arrival_tree_.data() + 2 * structure_->pred_edge_slot(t);
+    if (resized) {
+      for (std::size_t k = 0; k < d; ++k) tree[d + k] = arrival(t, k);
+      for (std::size_t node = d - 1; node >= 1; --node)
+        tree[node] = std::max(tree[2 * node], tree[2 * node + 1]);
     }
-    est = std::max(est, end_[preds[k]] + slot);
+    est = std::max(est, tree[1]);
   }
   est_[t] = est;
   end_[t] = est + cloud::exec_time(wf_->task(t).work, inc_sizes_[t]);

@@ -69,6 +69,11 @@ class OneVmPerTaskRetimer {
   /// cost() would on the updated vector, not an approximation of it.
   void prime(std::span<const cloud::InstanceSize> sizes);
   [[nodiscard]] util::Money primed_cost() const noexcept { return total_; }
+  /// Per-task finish times of the primed state: bitwise the assignment
+  /// ends retime_one_vm_per_task gives for the current size vector.
+  [[nodiscard]] std::span<const util::Seconds> primed_finish() const noexcept {
+    return end_;
+  }
 
   /// Changes `task` to `size` and returns the new total cost. The change
   /// commits: call again with the previous size to revert (the recomputed
@@ -78,7 +83,14 @@ class OneVmPerTaskRetimer {
 
  private:
   void retime(std::span<const cloud::InstanceSize> sizes);
-  void retime_task(dag::TaskId t);
+  /// Recomputes est_/end_ of `t`. `resized` rebuilds `t`'s whole arrival
+  /// tree (every inbound transfer is keyed on its own size); otherwise the
+  /// tree's leaves are already current.
+  void retime_task(dag::TaskId t, bool resized);
+  /// Arrival of `t`'s k-th inbound edge: the producer's finish + transfer.
+  [[nodiscard]] util::Seconds arrival(dag::TaskId t, std::size_t k);
+  /// Re-reads `u`'s arrival in the tree of every successor.
+  void refresh_out_arrivals(dag::TaskId u);
 
   const dag::Workflow* wf_;
   const cloud::Platform* platform_;
@@ -93,6 +105,14 @@ class OneVmPerTaskRetimer {
   util::Money total_;
   std::vector<std::size_t> topo_pos_;       // task -> position in topo order
   std::vector<char> queued_;
+  // Arrival max-trees: task t with d predecessors owns the 2d entries of
+  // arrival_tree_ from 2 * pred_edge_slot(t) (leaves at [d, 2d), node
+  // i = max(2i, 2i + 1), root at 1). A moved predecessor costs O(log d)
+  // instead of a re-read of all d — sipht's PatserConcat has one
+  // predecessor per upstream branch and is retimed once per candidate
+  // upstream of it. A maximum of doubles is exact, so the root is bitwise
+  // the sequential maximum over the predecessors.
+  std::vector<util::Seconds> arrival_tree_;
   std::priority_queue<std::size_t, std::vector<std::size_t>,
                       std::greater<std::size_t>>
       dirty_;  // pending recomputes, drained in topological order

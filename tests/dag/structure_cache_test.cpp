@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <functional>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "dag/builders.hpp"
 #include "dag/generators.hpp"
 #include "dag/graph_algo.hpp"
+#include "dag/science.hpp"
 #include "dag/workflow.hpp"
 #include "util/rng.hpp"
 
@@ -73,6 +75,33 @@ std::vector<double> naive_upward_rank(const Workflow& wf, const ExecTimeFn& exec
   return rank;
 }
 
+std::vector<TaskId> naive_critical_path(const Workflow& wf, const ExecTimeFn& exec,
+                                        const CommTimeFn& comm) {
+  const std::vector<double> up = naive_upward_rank(wf, exec, comm);
+  std::vector<TaskId> entries;
+  for (const Task& t : wf.tasks())
+    if (wf.predecessors(t.id).empty()) entries.push_back(t.id);
+  if (entries.empty()) return {};
+  TaskId cur = entries.front();
+  for (TaskId e : entries)
+    if (up[e] > up[cur]) cur = e;
+  std::vector<TaskId> path{cur};
+  while (!wf.successors(cur).empty()) {
+    TaskId next = kInvalidTask;
+    double best = -1.0;
+    for (TaskId s : wf.successors(cur)) {
+      const double via = comm(cur, s) + up[s];
+      if (via > best + util::kTimeEpsilon) {
+        best = via;
+        next = s;
+      }
+    }
+    path.push_back(next);
+    cur = next;
+  }
+  return path;
+}
+
 TaskId naive_largest_pred(const Workflow& wf, TaskId t) {
   const std::vector<TaskId>& preds = wf.predecessors(t);
   if (preds.empty()) return kInvalidTask;
@@ -111,9 +140,16 @@ void expect_cache_matches(const Workflow& wf) {
       EXPECT_EQ(cache.preds(t.id)[i], preds[i]);
       EXPECT_EQ(cache.pred_data(t.id)[i], wf.edge_data(preds[i], t.id));
     }
+    ASSERT_EQ(cache.succ_edge_slots(t.id).size(), succs.size());
     for (std::size_t i = 0; i < succs.size(); ++i) {
       EXPECT_EQ(cache.succs(t.id)[i], succs[i]);
       EXPECT_EQ(cache.succ_data(t.id)[i], wf.edge_data(t.id, succs[i]));
+      // The outgoing edge's slot names this task in the consumer's preds.
+      const std::size_t slot = cache.succ_edge_slots(t.id)[i];
+      const std::size_t base = cache.pred_edge_slot(succs[i]);
+      ASSERT_GE(slot, base);
+      ASSERT_LT(slot - base, cache.preds(succs[i]).size());
+      EXPECT_EQ(cache.preds(succs[i])[slot - base], t.id) << wf.name();
     }
     EXPECT_EQ(cache.pred_edge_slot(t.id) + preds.size(),
               t.id + 1 < wf.task_count()
@@ -157,6 +193,17 @@ void expect_cache_matches(const Workflow& wf) {
                      return a < b;
                    });
   EXPECT_EQ(cache.heft_order_memo(7, exec, comm), expected_order) << wf.name();
+
+  // The slot-aware rank and critical-path walk: the same ranks and path as
+  // the naive walk, and every slot handed to comm is the edge's own.
+  const auto slot_comm = [&](TaskId p, TaskId t, std::size_t slot) {
+    EXPECT_EQ(cache.preds(t)[slot - cache.pred_edge_slot(t)], p);
+    return comm(p, t);
+  };
+  EXPECT_EQ(cache.upward_rank(exec, slot_comm), naive_upward_rank(wf, exec, comm))
+      << wf.name();
+  EXPECT_EQ(cache.critical_path(exec, slot_comm), naive_critical_path(wf, exec, comm))
+      << wf.name();
 }
 
 // -- Tests -----------------------------------------------------------------
@@ -180,6 +227,28 @@ TEST(StructureCache, MatchesFreshRecomputeOnRandomizedDags) {
   expect_cache_matches(generators::fork_join(3, 5));
   expect_cache_matches(generators::out_tree(3, 3));
   expect_cache_matches(generators::in_tree(3, 3));
+}
+
+TEST(StructureCache, MatchesFreshRecomputeOnPegasusFamilies) {
+  // Wide fan-ins and fan-outs (sipht's PatserConcat, cybershake's
+  // ZipSeis/ZipPSA) at a few hundred tasks.
+  for (const science::Family family : science::kAllFamilies)
+    expect_cache_matches(science::scaled(family, 300));
+}
+
+TEST(StructureCache, EdgeSlotsFollowInsertionOrderNotIdOrder) {
+  // Edges added out of id order: a consumer's preds, a producer's succs and
+  // the slots between them must follow insertion order.
+  Workflow wf("shuffled");
+  for (int i = 0; i < 6; ++i) (void)wf.add_task("t" + std::to_string(i), 1.0 + i);
+  wf.add_edge(2, 5, 3.0);
+  wf.add_edge(0, 5);
+  wf.add_edge(1, 3);
+  wf.add_edge(0, 3, 1.5);
+  wf.add_edge(1, 5);
+  wf.add_edge(3, 4);
+  wf.add_edge(3, 5);
+  expect_cache_matches(wf);
 }
 
 TEST(StructureCache, WorkflowSharesOneInstanceUntilMutation) {

@@ -24,6 +24,13 @@ dag::Workflow pareto(const dag::Workflow& base, std::uint64_t seed = 0x1db2013) 
   return workload::apply_scenario(base, cfg);
 }
 
+dag::Workflow data_intensive(const dag::Workflow& base) {
+  workload::ScenarioConfig cfg;
+  cfg.kind = workload::ScenarioKind::data_intensive;
+  cfg.seed = 0x1db2013;
+  return workload::apply_scenario(base, cfg);
+}
+
 sim::ScheduleMetrics seed_metrics(const dag::Workflow& wf,
                                   const cloud::Platform& platform) {
   const std::vector<InstanceSize> sizes(wf.task_count(), InstanceSize::small);
@@ -64,32 +71,74 @@ TEST(Retime, IncrementalSetSizeMatchesFullRetimeBitwise) {
   // The contract the upgrade loops lean on: after prime(), every set_size()
   // returns exactly what a full cost(sizes) recompute would — at exact
   // integer micro-dollars, no tolerance — including reverts.
+  // Every fourth step resizes the widest task (a rebuild of its whole
+  // arrival tree); the other steps resize random tasks, whose moves reach
+  // each successor's tree as single-leaf updates. sipht and cybershake at
+  // ~600 tasks have fan-ins in the hundreds, so their widest trees are many
+  // levels deep. They run data-intensive: with multi-GB edges an inbound
+  // transfer depends on both endpoint sizes (the slower link), so a resize
+  // moves every arrival it touches.
   const cloud::Platform platform = cloud::Platform::ec2();
-  for (const dag::Workflow& base :
-       {dag::builders::montage24(), dag::builders::cstem(),
-        dag::science::scaled(dag::science::Family::epigenomics, 200)}) {
-    const dag::Workflow wf = pareto(base);
+  for (const dag::Workflow& wf :
+       {pareto(dag::builders::montage24()), pareto(dag::builders::cstem()),
+        pareto(dag::science::scaled(dag::science::Family::epigenomics, 200)),
+        data_intensive(dag::science::scaled(dag::science::Family::sipht, 600)),
+        data_intensive(
+            dag::science::scaled(dag::science::Family::cybershake, 600))}) {
     std::vector<InstanceSize> sizes(wf.task_count(), InstanceSize::small);
+
+    dag::TaskId widest = 0;
+    for (const dag::Task& t : wf.tasks())
+      if (wf.predecessors(t.id).size() > wf.predecessors(widest).size())
+        widest = t.id;
 
     OneVmPerTaskRetimer incremental(wf, platform);
     incremental.prime(sizes);
     OneVmPerTaskRetimer full(wf, platform);
     EXPECT_EQ(incremental.primed_cost(), full.cost(sizes)) << wf.name();
 
+    // Costs alone can hide a wrong start time inside a BTU; the finish
+    // times pin every task.
+    const auto expect_same_finishes = [&](int step) {
+      const sim::Schedule fresh = retime_one_vm_per_task(wf, platform, sizes);
+      for (const dag::Task& t : wf.tasks())
+        ASSERT_EQ(incremental.primed_finish()[t.id], fresh.assignment(t.id).end)
+            << wf.name() << " step " << step << " task " << t.id;
+    };
+
     util::Rng rng(0xB17);
     for (int step = 0; step < 60; ++step) {
-      const auto task = static_cast<dag::TaskId>(rng.below(wf.task_count()));
+      auto task = static_cast<dag::TaskId>(rng.below(wf.task_count()));
+      if (step % 4 == 3) task = widest;
       const auto size = cloud::kAllSizes[rng.below(cloud::kAllSizes.size())];
       const InstanceSize previous = sizes[task];
       sizes[task] = size;
       const util::Money inc = incremental.set_size(task, size);
       EXPECT_EQ(inc, full.cost(sizes))
           << wf.name() << " step " << step << " task " << task;
+      expect_same_finishes(step);
       if (step % 3 == 2) {  // revert must land on bitwise-identical state
         sizes[task] = previous;
         EXPECT_EQ(incremental.set_size(task, previous), full.cost(sizes))
             << wf.name() << " revert at step " << step;
+        expect_same_finishes(step);
       }
+    }
+
+    // Every producer of the widest task on the fastest link: the widest
+    // task's own size is then the slower end of every inbound transfer, so
+    // each resize of it moves all of its arrivals at once.
+    for (const dag::TaskId p : wf.predecessors(widest)) {
+      sizes[p] = InstanceSize::xlarge;
+      (void)incremental.set_size(p, InstanceSize::xlarge);
+    }
+    EXPECT_EQ(incremental.set_size(widest, sizes[widest]), full.cost(sizes))
+        << wf.name();
+    for (const InstanceSize size : cloud::kAllSizes) {
+      sizes[widest] = size;
+      EXPECT_EQ(incremental.set_size(widest, size), full.cost(sizes))
+          << wf.name() << " widest task at " << cloud::name_of(size);
+      expect_same_finishes(-1);
     }
   }
 }

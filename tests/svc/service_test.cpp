@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <map>
 #include <optional>
 #include <string>
@@ -330,18 +331,25 @@ TEST(ServiceOverload, OverCapacityLoadIsRejectedNotQueued) {
 
   constexpr int kClients = 24;
   std::atomic<int> ok{0}, rejected{0}, other{0};
+  // Every client connects before any of them sends, so the whole burst
+  // lands while the single worker is still on the first request: GAIN over
+  // 256 seeds (the per-request limit) takes far longer than the burst takes
+  // to arrive. The response cache therefore has no answer yet for the later
+  // arrivals, and the queue bound must bite.
+  std::latch connected(kClients);
   std::vector<std::thread> threads;
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&] {
       HttpClient client;
-      if (!client.connect("127.0.0.1", server.port())) {
+      const bool up = client.connect("127.0.0.1", server.port());
+      connected.arrive_and_wait();
+      if (!up) {
         ++other;
         return;
       }
-      // rank = 19 strategy evaluations, so the single worker stays busy
-      // long enough for the queue bound to bite.
       const auto response = client.request(
-          "POST", "/v1/rank", R"({"workflow":"cybershake","seed":0})");
+          "POST", "/v1/evaluate",
+          R"({"workflow":"montage","strategy":"GAIN","seeds":[0,255]})");
       if (!response) ++other;
       else if (response->status == 200) ++ok;
       else if (response->status == 429) ++rejected;
