@@ -1,6 +1,6 @@
 #include "adaptive/advisor.hpp"
 
-#include "scheduling/baselines.hpp"
+#include "exp/catalog.hpp"
 
 namespace cloudwf::adaptive {
 
@@ -135,7 +135,7 @@ Advice advise(const WorkflowFeatures& features, Objective objective) {
 
 scheduling::Strategy recommend(const dag::Workflow& wf, Objective objective) {
   const Advice a = advise(compute_features(wf), objective);
-  return scheduling::strategy_by_any_label(a.strategy_label);
+  return exp::catalog::strategy(a.strategy_label);
 }
 
 }  // namespace cloudwf::adaptive

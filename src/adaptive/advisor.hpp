@@ -27,7 +27,7 @@ enum class Objective { savings, gain, balanced };
 }
 
 struct Advice {
-  std::string strategy_label;  ///< usable with scheduling::strategy_by_label
+  std::string strategy_label;  ///< usable with exp::catalog::strategy
   std::string rationale;       ///< which Table V rule fired and why
 };
 

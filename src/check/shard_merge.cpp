@@ -4,7 +4,7 @@
 #include <set>
 #include <utility>
 
-#include "scheduling/factory.hpp"
+#include "exp/catalog.hpp"
 #include "sim/metrics.hpp"
 #include "sim/schedule.hpp"
 #include "util/rng.hpp"
@@ -116,10 +116,10 @@ ShardMergeReport check_shard_merge(const exp::SweepGridSpec& grid,
     workload::ScenarioConfig cfg;
     cfg.seed = cell.seed;
     const exp::ExperimentRunner runner(platform, cfg);
-    const dag::Workflow materialized =
-        runner.materialize(exp::grid_workflow(cell.workflow), cell.scenario);
-    const scheduling::Strategy strategy =
-        scheduling::strategy_by_label(cell.strategy);
+    const dag::Workflow materialized = runner.materialize(
+        exp::catalog::workflow(cell.workflow, exp::catalog::kMaxServedTasks),
+        cell.scenario);
+    const scheduling::Strategy& strategy = exp::catalog::strategy(cell.strategy);
     const sim::Schedule schedule =
         strategy.scheduler->run(materialized, platform);
     OracleReport oracle = check_schedule(materialized, schedule, platform);

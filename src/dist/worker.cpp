@@ -55,15 +55,11 @@ WorkerReport run_worker(const WorkerOptions& options,
     if (options.delay_per_shard.count() > 0)
       std::this_thread::sleep_for(options.delay_per_shard);
 
-    svc::BinShardResponse result;
-    result.shard_id = shard.shard_id;
-    result.rows.reserve(rows.size());
-    for (const exp::SweepRow& row : rows)
-      result.rows.push_back(svc::bin_sweep_row(row));
     const std::optional<svc::HttpResponse> posted =
         client.request("POST", "/v1/shard/result",
-                       svc::encode_frame(std::move(result)), {},
-                       svc::kBinaryContentType);
+                       svc::encode_frame(
+                           svc::BinShardResponse{shard.shard_id, std::move(rows)}),
+                       {}, svc::kBinaryContentType);
     if (!posted) return report;
     if (posted->status != 200) {
       report.shards_failed += 1;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "scheduling/baselines.hpp"
+#include "exp/catalog.hpp"
 #include "util/strings.hpp"
 
 namespace cloudwf::exp {
@@ -11,8 +11,7 @@ std::vector<RegionChoice> region_sweep(const dag::Workflow& structure,
                                        const std::string& strategy_label,
                                        workload::ScenarioKind scenario,
                                        std::uint64_t seed) {
-  const scheduling::Strategy strategy =
-      scheduling::strategy_by_any_label(strategy_label);
+  const scheduling::Strategy& strategy = catalog::strategy(strategy_label);
 
   std::vector<RegionChoice> out;
   for (const cloud::Region& region : cloud::ec2_regions()) {

@@ -2,68 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <stdexcept>
 
-#include "dag/builders.hpp"
-#include "dag/science.hpp"
-#include "scheduling/factory.hpp"
+#include "exp/catalog.hpp"
 
 namespace cloudwf::exp {
 namespace {
 
-/// llround(value * 1e6) with NaN→0 and saturation — the same scaling
-/// svc::bin_row applies, duplicated here so exp does not depend on svc (a
-/// test pins the two conversions against each other).
+/// llround(value * 1e6) with NaN->0 and saturation at the i64 range.
 std::int64_t fixed_ppm(double value) {
   const double scaled = value * 1e6;
   if (std::isnan(scaled)) return 0;
   if (scaled >= 9.2e18) return std::numeric_limits<std::int64_t>::max();
   if (scaled <= -9.2e18) return std::numeric_limits<std::int64_t>::min();
   return std::llround(scaled);
-}
-
-/// Splits "family:N"; returns false when `name` has no colon.
-bool split_scaled_name(const std::string& name, std::string& family,
-                       std::uint64_t& tasks) {
-  const std::size_t colon = name.find(':');
-  if (colon == std::string::npos) return false;
-  family = name.substr(0, colon);
-  const std::string digits = name.substr(colon + 1);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos)
-    throw std::invalid_argument("bad scaled workflow '" + name +
-                                "': task count must be digits");
-  errno = 0;
-  char* end = nullptr;
-  tasks = std::strtoull(digits.c_str(), &end, 10);
-  if (errno != 0 || end != digits.c_str() + digits.size())
-    throw std::invalid_argument("bad scaled workflow '" + name +
-                                "': task count out of range");
-  return true;
-}
-
-/// Name check without building the workflow — validate_grid must stay cheap
-/// even for "epigenomics:20000".
-void validate_grid_workflow_name(const std::string& name) {
-  std::string family;
-  std::uint64_t tasks = 0;
-  if (split_scaled_name(name, family, tasks)) {
-    (void)dag::science::family_by_name(family);  // throws on unknown family
-    if (tasks == 0 || tasks > kMaxGridWorkflowTasks)
-      throw std::invalid_argument(
-          "scaled workflow '" + name + "' exceeds task cap " +
-          std::to_string(kMaxGridWorkflowTasks));
-    return;
-  }
-  if (name == "montage" || name == "cstem" || name == "mapreduce" ||
-      name == "sequential" || name == "epigenomics" || name == "cybershake" ||
-      name == "ligo" || name == "sipht")
-    return;
-  throw std::invalid_argument("unknown grid workflow '" + name + "'");
 }
 
 }  // namespace
@@ -92,18 +47,19 @@ void validate_grid(const SweepGridSpec& spec) {
     throw std::invalid_argument("grid has no scenarios");
   if (spec.strategies.empty())
     throw std::invalid_argument("grid has no strategies");
-  if (spec.seed_end < spec.seed_begin)
-    throw std::invalid_argument("grid seed range is inverted");
+  // No grid holds more seeds than cells; checked before cell_count, whose
+  // seed_count wraps to 0 on the full u64 range.
+  catalog::check_seeds(spec.seed_begin, spec.seed_end, kMaxGridCells);
   if (spec.cell_count() > kMaxGridCells)
     throw std::invalid_argument("grid has " +
                                 std::to_string(spec.cell_count()) +
                                 " cells, cap is " +
                                 std::to_string(kMaxGridCells));
   for (const std::string& name : spec.workflows)
-    validate_grid_workflow_name(name);
+    catalog::check_workflow(name, catalog::kMaxServedTasks);
   for (const auto kind : spec.scenarios) (void)workload::name_of(kind);
   for (const std::string& label : spec.strategies)
-    (void)scheduling::strategy_by_label(label);  // throws on unknown label
+    (void)catalog::strategy(label);
 }
 
 GridCell cell_at(const SweepGridSpec& spec, std::uint64_t index) {
@@ -150,20 +106,7 @@ std::vector<ShardSpec> partition_grid(const SweepGridSpec& spec,
 }
 
 dag::Workflow grid_workflow(const std::string& name) {
-  validate_grid_workflow_name(name);
-  std::string family;
-  std::uint64_t tasks = 0;
-  if (split_scaled_name(name, family, tasks))
-    return dag::science::scaled(dag::science::family_by_name(family),
-                                static_cast<std::size_t>(tasks));
-  if (name == "montage") return dag::builders::montage24();
-  if (name == "cstem") return dag::builders::cstem();
-  if (name == "mapreduce") return dag::builders::map_reduce();
-  if (name == "sequential") return dag::builders::sequential_chain();
-  if (name == "epigenomics") return dag::science::epigenomics();
-  if (name == "cybershake") return dag::science::cybershake();
-  if (name == "ligo") return dag::science::ligo();
-  return dag::science::sipht();
+  return catalog::workflow(name, catalog::kMaxServedTasks);
 }
 
 SweepRow sweep_row(const RunResult& result, std::uint64_t seed) {
@@ -196,7 +139,7 @@ std::vector<SweepRow> run_shard(const ShardSpec& shard,
   std::vector<scheduling::Strategy> strategies;
   strategies.reserve(shard.grid.strategies.size());
   for (const std::string& label : shard.grid.strategies)
-    strategies.push_back(scheduling::strategy_by_label(label));
+    strategies.push_back(catalog::strategy(label));
   std::map<std::string, dag::Workflow> structures;
 
   std::vector<SweepRow> rows;
@@ -215,7 +158,10 @@ std::vector<SweepRow> run_shard(const ShardSpec& shard,
 
     auto it = structures.find(first.workflow);
     if (it == structures.end())
-      it = structures.emplace(first.workflow, grid_workflow(first.workflow))
+      it = structures
+               .emplace(first.workflow,
+                        catalog::workflow(first.workflow,
+                                          catalog::kMaxServedTasks))
                .first;
 
     workload::ScenarioConfig cfg;

@@ -24,9 +24,8 @@
 
 namespace cloudwf::exp {
 
-/// The four axes of a sweep. Workflow names accept the served names
-/// (montage, cstem, ...) plus scaled Pegasus families ("epigenomics:1000");
-/// strategies are paper legend labels or baseline labels.
+/// The four axes of a sweep. Workflow and strategy names are the catalog's
+/// (exp/catalog.hpp), with "family:N" up to catalog::kMaxServedTasks.
 struct SweepGridSpec {
   std::vector<std::string> workflows;
   std::vector<workload::ScenarioKind> scenarios;
@@ -43,19 +42,15 @@ struct SweepGridSpec {
   friend bool operator==(const SweepGridSpec&, const SweepGridSpec&) = default;
 };
 
-/// Throws std::invalid_argument when an axis is empty, a seed range is
-/// inverted, a workflow/strategy name does not resolve, or the grid exceeds
-/// kMaxGridCells.
+/// Throws std::invalid_argument when an axis is empty, the seed range is
+/// inverted, the grid exceeds kMaxGridCells, or the catalog refuses a
+/// workflow or strategy name (with the catalog's text).
 void validate_grid(const SweepGridSpec& spec);
 
 /// Hard cap on one grid's flat size — admission control for shard specs
 /// arriving over the network (a single spec cannot smuggle in an unbounded
 /// sweep).
 inline constexpr std::uint64_t kMaxGridCells = 4'000'000;
-
-/// Largest scaled-family task count a grid workflow name may ask for
-/// ("epigenomics:N" with N beyond this is rejected).
-inline constexpr std::uint64_t kMaxGridWorkflowTasks = 20'000;
 
 /// One decoded cell of the flat space.
 struct GridCell {
@@ -91,17 +86,15 @@ struct ShardSpec {
 [[nodiscard]] std::vector<ShardSpec> partition_grid(const SweepGridSpec& spec,
                                                     std::size_t shard_count);
 
-/// Resolves a grid workflow name (served name or "family:N" scaled Pegasus
-/// shape, N <= kMaxGridWorkflowTasks). Throws std::invalid_argument for
-/// anything else — grid names never reach the filesystem loader.
+/// catalog::workflow(name, catalog::kMaxServedTasks); kept because the
+/// benchmark calls it.
 [[nodiscard]] dag::Workflow grid_workflow(const std::string& name);
 
 /// One evaluated grid cell in exact integer fixed point: costs in
 /// micro-dollars (util::Money.micros()), durations in microseconds, ratios
-/// in millionths. This is the unit the fabric streams over the wire and the
-/// unit merged sweeps are byte-compared in; it is field-identical to
-/// svc::BinResultRow (pinned by a test) so the service's binary rows
-/// convert losslessly.
+/// in millionths. This is the unit the fabric streams over the wire, the
+/// unit merged sweeps are byte-compared in, and every binary response row
+/// (svc::BinResultRow is this struct).
 struct SweepRow {
   std::uint64_t seed = 0;
   std::string strategy;
@@ -120,8 +113,7 @@ struct SweepRow {
   friend bool operator==(const SweepRow&, const SweepRow&) = default;
 };
 
-/// Fixed-point conversion of one RunResult (identical scaling to the
-/// service's binary rows).
+/// Fixed-point conversion of one RunResult.
 [[nodiscard]] SweepRow sweep_row(const RunResult& result, std::uint64_t seed);
 
 /// Runs one shard serially and returns its rows in canonical cell order.

@@ -227,10 +227,4 @@ std::vector<Strategy> baseline_strategies(std::size_t pool_size) {
   return out;
 }
 
-Strategy strategy_by_any_label(std::string_view label) {
-  for (Strategy& s : baseline_strategies())
-    if (s.label == label) return std::move(s);
-  return strategy_by_label(label);
-}
-
 }  // namespace cloudwf::scheduling

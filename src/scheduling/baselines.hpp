@@ -88,8 +88,4 @@ class SheftScheduler final : public Scheduler {
 [[nodiscard]] std::vector<Strategy> baseline_strategies(
     std::size_t pool_size = 4);
 
-/// Resolves a label against the paper strategies *and* the baselines
-/// ("PCH-m", "SHEFT", ...). Throws std::invalid_argument on unknown labels.
-[[nodiscard]] Strategy strategy_by_any_label(std::string_view label);
-
 }  // namespace cloudwf::scheduling

@@ -31,7 +31,9 @@ struct Strategy {
 [[nodiscard]] Strategy reference_strategy();
 
 /// Builds one strategy from its paper label (e.g. "AllParExceed-m",
-/// "CPA-Eager"). Throws std::invalid_argument for unknown labels.
+/// "CPA-Eager"). Throws std::invalid_argument for unknown labels. Labels
+/// from outside the program go through exp::catalog::strategy instead,
+/// which also knows the baselines and shares one instance of each.
 [[nodiscard]] Strategy strategy_by_label(std::string_view label);
 
 /// All labels accepted by strategy_by_label, in legend order.

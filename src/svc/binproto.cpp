@@ -1,6 +1,5 @@
 #include "svc/binproto.hpp"
 
-#include <cmath>
 #include <limits>
 
 namespace cloudwf::svc {
@@ -165,16 +164,6 @@ struct Reader {
     return out;
   }
 };
-
-/// value * 1e6 rounded to the nearest integer, saturating at the i64 range
-/// (service metrics never get near it; NaN maps to 0).
-std::int64_t fixed_ppm(double value) {
-  const double scaled = value * 1e6;
-  if (std::isnan(scaled)) return 0;
-  if (scaled >= 9.2e18) return std::numeric_limits<std::int64_t>::max();
-  if (scaled <= -9.2e18) return std::numeric_limits<std::int64_t>::min();
-  return std::llround(scaled);
-}
 
 }  // namespace
 
@@ -355,21 +344,7 @@ BinFrame decode_frame(std::string_view bytes) {
 }
 
 BinResultRow bin_row(const exp::RunResult& result, std::uint64_t seed) {
-  BinResultRow row;
-  row.seed = seed;
-  row.strategy = result.strategy;
-  row.makespan_us = fixed_ppm(result.metrics.makespan);
-  row.vm_cost_micros = result.metrics.vm_cost.micros();
-  row.egress_cost_micros = result.metrics.egress_cost.micros();
-  row.total_cost_micros = result.metrics.total_cost.micros();
-  row.idle_us = fixed_ppm(result.metrics.total_idle);
-  row.busy_us = fixed_ppm(result.metrics.total_busy);
-  row.vms_used = static_cast<std::uint32_t>(result.metrics.vms_used);
-  row.total_btus = result.metrics.total_btus;
-  row.utilization_ppm = fixed_ppm(result.metrics.utilization);
-  row.gain_pct_ppm = fixed_ppm(result.relative.gain_pct);
-  row.loss_pct_ppm = fixed_ppm(result.relative.loss_pct);
-  return row;
+  return exp::sweep_row(result, seed);
 }
 
 std::string bin_error_frame(int status, const std::string& message) {
@@ -387,7 +362,7 @@ std::string evaluate_body_bin(const EvaluateRequest& request,
   resp.scenario = request.scenario;
   resp.strategy = request.strategy;
   for (const ResultRow& row : evaluate_rows(request, platform, cache))
-    resp.rows.push_back(bin_row(row.result, row.seed));
+    resp.rows.push_back(exp::sweep_row(row.result, row.seed));
   return encode_frame(std::move(resp));
 }
 
@@ -398,53 +373,14 @@ std::string rank_body_bin(const RankRequest& request,
   resp.scenario = request.scenario;
   resp.seed = request.seed;
   for (const ResultRow& row : rank_rows(request, platform, cache))
-    resp.rows.push_back(bin_row(row.result, row.seed));
+    resp.rows.push_back(exp::sweep_row(row.result, row.seed));
   return encode_frame(std::move(resp));
-}
-
-BinResultRow bin_sweep_row(const exp::SweepRow& row) {
-  BinResultRow out;
-  out.seed = row.seed;
-  out.strategy = row.strategy;
-  out.makespan_us = row.makespan_us;
-  out.vm_cost_micros = row.vm_cost_micros;
-  out.egress_cost_micros = row.egress_cost_micros;
-  out.total_cost_micros = row.total_cost_micros;
-  out.idle_us = row.idle_us;
-  out.busy_us = row.busy_us;
-  out.vms_used = row.vms_used;
-  out.total_btus = row.total_btus;
-  out.utilization_ppm = row.utilization_ppm;
-  out.gain_pct_ppm = row.gain_pct_ppm;
-  out.loss_pct_ppm = row.loss_pct_ppm;
-  return out;
-}
-
-exp::SweepRow sweep_row_of(const BinResultRow& row) {
-  exp::SweepRow out;
-  out.seed = row.seed;
-  out.strategy = row.strategy;
-  out.makespan_us = row.makespan_us;
-  out.vm_cost_micros = row.vm_cost_micros;
-  out.egress_cost_micros = row.egress_cost_micros;
-  out.total_cost_micros = row.total_cost_micros;
-  out.idle_us = row.idle_us;
-  out.busy_us = row.busy_us;
-  out.vms_used = row.vms_used;
-  out.total_btus = row.total_btus;
-  out.utilization_ppm = row.utilization_ppm;
-  out.gain_pct_ppm = row.gain_pct_ppm;
-  out.loss_pct_ppm = row.loss_pct_ppm;
-  return out;
 }
 
 std::string shard_body_bin(const exp::ShardSpec& shard,
                            const cloud::Platform& platform) {
-  BinShardResponse resp;
-  resp.shard_id = shard.shard_id;
-  for (const exp::SweepRow& row : shard_rows(shard, platform))
-    resp.rows.push_back(bin_sweep_row(row));
-  return encode_frame(std::move(resp));
+  return encode_frame(
+      BinShardResponse{shard.shard_id, shard_rows(shard, platform)});
 }
 
 }  // namespace cloudwf::svc

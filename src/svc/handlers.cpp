@@ -1,25 +1,11 @@
 #include "svc/handlers.hpp"
 
-#include "dag/builders.hpp"
-#include "dag/science.hpp"
+#include "exp/catalog.hpp"
 #include "obs/trace.hpp"
-#include "scheduling/baselines.hpp"
-#include "scheduling/factory.hpp"
 
 namespace cloudwf::svc {
 
 namespace {
-
-scheduling::Strategy resolve_strategy(const std::string& label) {
-  for (scheduling::Strategy& s : scheduling::baseline_strategies())
-    if (s.label == label) return std::move(s);
-  try {
-    return scheduling::strategy_by_label(label);
-  } catch (const std::invalid_argument&) {
-    throw BadRequest("unknown strategy '" + label +
-                     "' (see `cloudwf list` for the accepted labels)");
-  }
-}
 
 std::string cell_key(const std::string& workflow,
                      workload::ScenarioKind scenario, std::uint64_t seed,
@@ -52,19 +38,11 @@ exp::RunResult evaluate_cell(const cloud::Platform& platform,
 }  // namespace
 
 dag::Workflow workflow_by_name(const std::string& name) {
-  if (name == "montage") return dag::builders::montage24();
-  if (name == "cstem") return dag::builders::cstem();
-  if (name == "mapreduce") return dag::builders::map_reduce();
-  if (name == "sequential") return dag::builders::sequential_chain();
-  if (name == "epigenomics") return dag::science::epigenomics();
-  if (name == "cybershake") return dag::science::cybershake();
-  if (name == "ligo") return dag::science::ligo();
-  if (name == "sipht") return dag::science::sipht();
-  throw BadRequest("unknown workflow '" + name + "'");
-}
-
-void validate_strategy_label(const std::string& label) {
-  (void)resolve_strategy(label);
+  try {
+    return exp::catalog::workflow(name, exp::catalog::kMaxServedTasks);
+  } catch (const std::invalid_argument& e) {
+    throw BadRequest(e.what());
+  }
 }
 
 util::Json run_result_json(const exp::RunResult& result, std::uint64_t seed) {
@@ -89,8 +67,11 @@ std::vector<ResultRow> evaluate_rows(const EvaluateRequest& request,
                                      const cloud::Platform& platform,
                                      EvalCache* cache) {
   obs::PhaseScope phase("svc: evaluate");
-  const scheduling::Strategy strategy = resolve_strategy(request.strategy);
-  const dag::Workflow structure = workflow_by_name(request.workflow);
+  validate_request(request);  // again: a worker may be handed anything
+  const scheduling::Strategy& strategy =
+      exp::catalog::strategy(request.strategy);
+  const dag::Workflow structure =
+      exp::catalog::workflow(request.workflow, exp::catalog::kMaxServedTasks);
 
   std::vector<ResultRow> rows;
   rows.reserve(request.seed_count());
@@ -118,8 +99,10 @@ std::vector<ResultRow> rank_rows(const RankRequest& request,
                                  const cloud::Platform& platform,
                                  EvalCache* cache) {
   obs::PhaseScope phase("svc: rank");
+  validate_request(request);
   const auto compute = [&] {
-    const dag::Workflow structure = workflow_by_name(request.workflow);
+    const dag::Workflow structure =
+        exp::catalog::workflow(request.workflow, exp::catalog::kMaxServedTasks);
     workload::ScenarioConfig cfg;
     cfg.seed = request.seed;
     const exp::ExperimentRunner runner(platform, cfg,

@@ -16,15 +16,9 @@
 
 namespace cloudwf::svc {
 
-/// Resolves a served workflow name to its structure. Throws BadRequest for
-/// unknown names (the protocol layer rejects them earlier; this is the
-/// defense-in-depth copy).
+/// catalog::workflow with the service's task limit, refusing with
+/// BadRequest; kept because the benchmark calls it.
 [[nodiscard]] dag::Workflow workflow_by_name(const std::string& name);
-
-/// Throws BadRequest when `label` names neither a paper strategy nor a
-/// baseline — checked before a request is admitted to the queue, so bad
-/// labels cost a 400, not a queue slot.
-void validate_strategy_label(const std::string& label);
 
 /// Per-batch memo: distinct (workflow, scenario, seed, strategy) cells are
 /// evaluated once per batch even when several coalesced requests ask for
@@ -50,7 +44,9 @@ struct ResultRow {
 };
 
 /// Rows of a /v1/evaluate answer: the strategy evaluated on every seed of
-/// the request's range, in seed order.
+/// the request's range, in seed order. Like rank_rows, it re-runs
+/// validate_request, so a request that skipped admission still gets a
+/// BadRequest.
 [[nodiscard]] std::vector<ResultRow> evaluate_rows(
     const EvaluateRequest& request, const cloud::Platform& platform,
     EvalCache* cache = nullptr);

@@ -1,10 +1,28 @@
 #include "svc/protocol.hpp"
 
 #include <cmath>
+#include <limits>
+
+#include "exp/catalog.hpp"
 
 namespace cloudwf::svc {
 
 namespace {
+
+/// Runs a catalog lookup; a refusal becomes a 400 with the catalog's text.
+template <class Lookup>
+auto admit(Lookup&& lookup) -> decltype(lookup()) {
+  try {
+    return lookup();
+  } catch (const std::invalid_argument& e) {
+    throw BadRequest(e.what());
+  }
+}
+
+workload::ScenarioKind scenario_field(const util::Json& field) {
+  if (!field.is_string()) throw BadRequest("field 'scenario' must be a string");
+  return admit([&] { return exp::catalog::scenario(field.as_string()); });
+}
 
 /// Fetches a required string field or throws BadRequest naming it.
 const std::string& required_string(const util::Json& body, const char* key) {
@@ -39,51 +57,36 @@ void decode_seed_fields(const util::Json& body, std::uint64_t& begin,
     throw BadRequest("'seeds' must be a two-element [first, last] array");
   begin = as_seed(seeds->as_array()[0], "'seeds[0]'");
   end = as_seed(seeds->as_array()[1], "'seeds[1]'");
-  if (end < begin) throw BadRequest("'seeds' range is inverted");
-  if (end - begin + 1 > kMaxSeedsPerRequest)
-    throw BadRequest("'seeds' range exceeds " +
-                     std::to_string(kMaxSeedsPerRequest) +
-                     " seeds per request");
 }
 
 }  // namespace
 
-const std::vector<std::string>& known_workflows() {
-  static const std::vector<std::string> names = {
-      "montage", "cstem",      "mapreduce", "sequential",
-      "epigenomics", "cybershake", "ligo",      "sipht"};
-  return names;
+void validate_request(const EvaluateRequest& request) {
+  admit([&] {
+    exp::catalog::check_workflow(request.workflow,
+                                 exp::catalog::kMaxServedTasks);
+    (void)exp::catalog::strategy(request.strategy);
+    exp::catalog::check_seeds(request.seed_begin, request.seed_end,
+                              exp::catalog::kMaxSeedsPerRequest);
+  });
 }
 
-void validate_workflow_name(const std::string& name) {
-  for (const std::string& known : known_workflows())
-    if (known == name) return;
-  throw BadRequest("unknown workflow '" + name +
-                   "' (montage|cstem|mapreduce|sequential|epigenomics|"
-                   "cybershake|ligo|sipht)");
-}
-
-workload::ScenarioKind parse_scenario(const std::string& name) {
-  for (workload::ScenarioKind kind : workload::kAllScenarioKinds) {
-    if (name == workload::name_of(kind)) return kind;
-  }
-  throw BadRequest("unknown scenario '" + name +
-                   "' (pareto|best-case|worst-case|data-intensive|"
-                   "cold-start|variable-price|deadline-budget)");
+void validate_request(const RankRequest& request) {
+  admit([&] {
+    exp::catalog::check_workflow(request.workflow,
+                                 exp::catalog::kMaxServedTasks);
+  });
 }
 
 EvaluateRequest decode_evaluate(const util::Json& body) {
   if (!body.is_object()) throw BadRequest("request body must be a JSON object");
   EvaluateRequest req;
   req.workflow = required_string(body, "workflow");
-  validate_workflow_name(req.workflow);
   req.strategy = required_string(body, "strategy");
-  if (const util::Json* scenario = body.find("scenario")) {
-    if (!scenario->is_string())
-      throw BadRequest("field 'scenario' must be a string");
-    req.scenario = parse_scenario(scenario->as_string());
-  }
+  if (const util::Json* scenario = body.find("scenario"))
+    req.scenario = scenario_field(*scenario);
   decode_seed_fields(body, req.seed_begin, req.seed_end);
+  validate_request(req);
   return req;
 }
 
@@ -91,14 +94,11 @@ RankRequest decode_rank(const util::Json& body) {
   if (!body.is_object()) throw BadRequest("request body must be a JSON object");
   RankRequest req;
   req.workflow = required_string(body, "workflow");
-  validate_workflow_name(req.workflow);
-  if (const util::Json* scenario = body.find("scenario")) {
-    if (!scenario->is_string())
-      throw BadRequest("field 'scenario' must be a string");
-    req.scenario = parse_scenario(scenario->as_string());
-  }
+  if (const util::Json* scenario = body.find("scenario"))
+    req.scenario = scenario_field(*scenario);
   if (const util::Json* seed = body.find("seed"))
     req.seed = as_seed(*seed, "'seed'");
+  validate_request(req);
   return req;
 }
 
@@ -142,7 +142,8 @@ exp::ShardSpec decode_shard(const util::Json& body) {
 
   shard.grid.workflows = string_array("workflows");
   for (const std::string& name : string_array("scenarios"))
-    shard.grid.scenarios.push_back(parse_scenario(name));
+    shard.grid.scenarios.push_back(
+        admit([&] { return exp::catalog::scenario(name); }));
   shard.grid.strategies = string_array("strategies");
   shard.grid.seed_begin = required_u64(*grid, "seed_begin");
   shard.grid.seed_end = required_u64(*grid, "seed_end");
@@ -217,7 +218,13 @@ ShardResult decode_shard_result(const util::Json& body) {
     row.total_cost_micros = as_i64(item, "total_cost_micros");
     row.idle_us = as_i64(item, "idle_us");
     row.busy_us = as_i64(item, "busy_us");
-    row.vms_used = static_cast<std::uint32_t>(as_i64(item, "vms_used"));
+    // A binary frame carries vms_used as u32; JSON must not wrap into it.
+    constexpr std::int64_t kMaxVms = std::numeric_limits<std::uint32_t>::max();
+    const std::int64_t vms_used = as_i64(item, "vms_used");
+    if (vms_used < 0 || vms_used > kMaxVms)
+      throw BadRequest("row field 'vms_used' must be an integer in [0, " +
+                       std::to_string(kMaxVms) + "]");
+    row.vms_used = static_cast<std::uint32_t>(vms_used);
     row.total_btus = as_i64(item, "total_btus");
     row.utilization_ppm = as_i64(item, "utilization_ppm");
     row.gain_pct_ppm = as_i64(item, "gain_pct_ppm");
@@ -228,11 +235,7 @@ ShardResult decode_shard_result(const util::Json& body) {
 }
 
 void validate_shard(const exp::ShardSpec& shard) {
-  try {
-    exp::validate_grid(shard.grid);
-  } catch (const std::invalid_argument& e) {
-    throw BadRequest(e.what());
-  }
+  admit([&] { exp::validate_grid(shard.grid); });
   if (shard.cell_end < shard.cell_begin)
     throw BadRequest("shard cell range is inverted");
   if (shard.cell_end > shard.grid.cell_count())

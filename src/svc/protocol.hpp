@@ -22,8 +22,8 @@
 // structs (EvaluateRequest/RankRequest) also travel as compact binary
 // frames when a request negotiates `Content-Type:
 // application/x-cloudwf-bin` — see svc/binproto.hpp. The semantic checks
-// below (known workflow, strategy label, seed-range cap) run identically
-// for both formats at the server boundary.
+// (validate_request, validate_shard) ask exp/catalog.hpp, so both formats
+// accept the same names and refuse the rest with the catalog's text.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +46,8 @@ class BadRequest : public std::runtime_error {
 
 /// Decoded /v1/evaluate payload.
 struct EvaluateRequest {
-  std::string workflow;   ///< named workflow (montage, cstem, ...)
-  std::string strategy;   ///< paper legend label
+  std::string workflow;   ///< catalog workflow (montage, ligo:60, ...)
+  std::string strategy;   ///< catalog strategy label
   workload::ScenarioKind scenario = workload::ScenarioKind::pareto;
   std::uint64_t seed_begin = 0;  ///< first seed (inclusive)
   std::uint64_t seed_end = 0;    ///< last seed (inclusive)
@@ -64,21 +64,19 @@ struct RankRequest {
   std::uint64_t seed = 0;
 };
 
-/// The workflow names the service accepts (no file paths: network input
-/// must not reach the filesystem loader).
-[[nodiscard]] const std::vector<std::string>& known_workflows();
+/// Semantic admission checks, shared by both formats: the catalog's
+/// workflow (family:N up to catalog::kMaxServedTasks), strategy and seed
+/// range (at most catalog::kMaxSeedsPerRequest seeds). Throws BadRequest
+/// with the catalog's text.
+void validate_request(const EvaluateRequest& request);
+void validate_request(const RankRequest& request);
 
-/// Throws BadRequest if `name` is not a served workflow.
-void validate_workflow_name(const std::string& name);
-
-/// Parses a scenario name; throws BadRequest for unknown names.
-[[nodiscard]] workload::ScenarioKind parse_scenario(const std::string& name);
-
-/// Decodes an /v1/evaluate body. Throws BadRequest on any schema violation
-/// (the caller catches util::JsonParseError separately for syntax errors).
+/// Decodes and validates an /v1/evaluate body. Throws BadRequest on any
+/// schema or admission violation (the caller catches util::JsonParseError
+/// separately for syntax errors).
 [[nodiscard]] EvaluateRequest decode_evaluate(const util::Json& body);
 
-/// Decodes a /v1/rank body.
+/// Decodes and validates a /v1/rank body.
 [[nodiscard]] RankRequest decode_rank(const util::Json& body);
 
 /// Decodes a /v1/shard body (the distributed fabric's unit of work):
@@ -112,10 +110,6 @@ struct ShardResult {
 
 /// {"error": message} — the uniform error body.
 [[nodiscard]] std::string error_body(const std::string& message);
-
-/// Caps on what one request may ask for (admission control at the schema
-/// level: a single request cannot smuggle in an unbounded sweep).
-inline constexpr std::size_t kMaxSeedsPerRequest = 256;
 
 /// Cap on one shard's cell count — a shard is a batch job, but still one
 /// HTTP request whose response must fit in memory.

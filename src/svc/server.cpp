@@ -27,24 +27,6 @@ std::size_t resolve_loop_count(std::size_t configured) {
   return auto_loops < 1 ? 1 : (auto_loops > 4 ? 4 : auto_loops);
 }
 
-/// Semantic validation shared with the JSON path (decode_evaluate /
-/// decode_rank run it inline; binary frames arrive pre-parsed and get the
-/// same checks here so both protocols refuse identical requests).
-void validate_evaluate(const EvaluateRequest& request) {
-  validate_workflow_name(request.workflow);
-  validate_strategy_label(request.strategy);
-  if (request.seed_end < request.seed_begin)
-    throw BadRequest("'seeds' range is inverted");
-  if (request.seed_end - request.seed_begin + 1 > kMaxSeedsPerRequest)
-    throw BadRequest("'seeds' range exceeds " +
-                     std::to_string(kMaxSeedsPerRequest) +
-                     " seeds per request");
-}
-
-void validate_rank(const RankRequest& request) {
-  validate_workflow_name(request.workflow);
-}
-
 /// Constant-time token comparison: the scan always covers every byte of
 /// both strings, so response timing leaks nothing about how long a prefix
 /// of the secret a probe matched.
@@ -325,12 +307,12 @@ bool Server::handle_compute(HttpRequest&& request, QueuedRequest::Kind kind,
         if (decoded == nullptr)
           throw BadRequest("expected an evaluate_request frame");
         queued.evaluate = std::move(*decoded);
-        validate_evaluate(queued.evaluate);
+        validate_request(queued.evaluate);
       } else {
         auto* decoded = std::get_if<RankRequest>(&frame);
         if (decoded == nullptr) throw BadRequest("expected a rank_request frame");
         queued.rank = std::move(*decoded);
-        validate_rank(queued.rank);
+        validate_request(queued.rank);
       }
     } else {
       const util::Json body = util::Json::parse(request.body);
@@ -339,7 +321,6 @@ bool Server::handle_compute(HttpRequest&& request, QueuedRequest::Kind kind,
         validate_shard(queued.shard);
       } else if (is_eval) {
         queued.evaluate = decode_evaluate(body);
-        validate_strategy_label(queued.evaluate.strategy);
       } else {
         queued.rank = decode_rank(body);
       }

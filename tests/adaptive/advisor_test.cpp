@@ -4,7 +4,7 @@
 
 #include "dag/builders.hpp"
 #include "dag/generators.hpp"
-#include "scheduling/baselines.hpp"
+#include "exp/catalog.hpp"
 #include "workload/scenario.hpp"
 
 namespace cloudwf::adaptive {
@@ -99,7 +99,7 @@ TEST(Advisor, EveryAdviceIsAResolvableLabel) {
            {Objective::savings, Objective::gain, Objective::balanced}) {
         const Advice a = advise(compute_features(wf), obj);
         EXPECT_NO_THROW(
-            (void)scheduling::strategy_by_any_label(a.strategy_label))
+            (void)exp::catalog::strategy(a.strategy_label))
             << wf.name() << " / " << name_of(obj) << " -> " << a.strategy_label;
       }
     }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "util/table.hpp"
 
 namespace cloudwf::adaptive {
@@ -33,6 +36,18 @@ TEST(MarkdownReport, SectionsToggle) {
   EXPECT_EQ(report.find("## Fig. 5"), std::string::npos);
   EXPECT_NE(report.find("## Table III"), std::string::npos);
   EXPECT_NE(report.find("## Adaptive advisor"), std::string::npos);
+}
+
+// The committed REPORT.md is `cloudwf report` with no options; any change
+// to a number in it must come with a regenerated file.
+TEST(MarkdownReport, MatchesCommittedReport) {
+  const exp::ExperimentRunner runner(cloud::Platform::ec2(),
+                                     workload::ScenarioConfig{});
+  std::ifstream file(CLOUDWF_REPORT_MD);
+  ASSERT_TRUE(file) << CLOUDWF_REPORT_MD;
+  std::ostringstream committed;
+  committed << file.rdbuf();
+  EXPECT_EQ(markdown_report(runner), committed.str());
 }
 
 TEST(MarkdownTable, PipesEscaped) {

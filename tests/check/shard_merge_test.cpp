@@ -51,6 +51,22 @@ TEST(ShardMergeOracle, GenuineMergeCertifiesClean) {
   EXPECT_EQ(report.cells_verified, 6u);
 }
 
+// Re-executed cells resolve names through the catalog, like the sweep
+// itself: baselines and family:N verify too.
+TEST(ShardMergeOracle, VerifiesBaselinesAndScaledFamilies) {
+  const cloud::Platform platform = cloud::Platform::ec2();
+  exp::SweepGridSpec grid;
+  grid.workflows = {"ligo:60"};
+  grid.scenarios = {workload::ScenarioKind::pareto};
+  grid.strategies = {"SCS", "GAIN"};
+  ShardMergeConfig config;
+  config.samples = 2;
+  const ShardMergeReport report = check_shard_merge(
+      grid, exp::run_grid_serial(grid, platform), platform, config);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.cells_verified, 2u);
+}
+
 TEST(ShardMergeOracle, SamplingIsDeterministicInTheSeed) {
   const cloud::Platform platform = cloud::Platform::ec2();
   const exp::SweepGridSpec grid = small_grid();

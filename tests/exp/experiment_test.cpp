@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "exp/report.hpp"
-#include "exp/strategy_set.hpp"
 
 namespace cloudwf::exp {
 namespace {
@@ -62,35 +61,6 @@ TEST(ExperimentRunner, ParallelGridMatchesSerialExactly) {
     EXPECT_EQ(serial[i].metrics.total_cost, parallel[i].metrics.total_cost);
     EXPECT_DOUBLE_EQ(serial[i].relative.gain_pct, parallel[i].relative.gain_pct);
   }
-}
-
-TEST(StrategySet, DynamicVsHomogeneousPartition) {
-  EXPECT_TRUE(is_dynamic_strategy("CPA-Eager"));
-  EXPECT_TRUE(is_dynamic_strategy("AllPar1LnSDyn"));
-  EXPECT_FALSE(is_dynamic_strategy("AllParExceed-m"));
-  EXPECT_TRUE(is_homogeneous_strategy("AllParExceed-m"));
-  EXPECT_FALSE(is_homogeneous_strategy("GAIN"));
-
-  std::size_t dynamic = 0;
-  std::size_t homogeneous = 0;
-  for (const std::string& label : scheduling::paper_strategy_labels()) {
-    if (is_dynamic_strategy(label)) ++dynamic;
-    if (is_homogeneous_strategy(label)) ++homogeneous;
-  }
-  EXPECT_EQ(dynamic, 4u);
-  EXPECT_EQ(homogeneous, 15u);
-}
-
-TEST(StrategySet, SuffixAndProvisioningParts) {
-  EXPECT_EQ(instance_suffix("AllParExceed-m"), "m");
-  EXPECT_EQ(instance_suffix("CPA-Eager"), "");
-  EXPECT_EQ(provisioning_part("AllParExceed-m"), "AllParExceed");
-  EXPECT_EQ(provisioning_part("GAIN"), "GAIN");
-}
-
-TEST(StrategySet, SizedSubsets) {
-  EXPECT_EQ(homogeneous_strategies(cloud::InstanceSize::small).size(), 5u);
-  EXPECT_EQ(dynamic_strategies().size(), 4u);
 }
 
 TEST(Report, TableAndCsvCoverEveryRun) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dag/builders.hpp"
+#include "exp/catalog.hpp"
 #include "scheduling/baselines.hpp"
 #include "sim/validator.hpp"
 #include "workload/scenario.hpp"
@@ -31,7 +32,7 @@ TEST(ElasticStrategy, RegisteredAsABaseline) {
   for (const Strategy& s : baseline_strategies())
     if (s.label == "Elastic-s") found = true;
   EXPECT_TRUE(found);
-  EXPECT_NO_THROW((void)strategy_by_any_label("Elastic-s"));
+  EXPECT_NO_THROW((void)exp::catalog::strategy("Elastic-s"));
 }
 
 TEST(ElasticStrategy, SizeParameterizes) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "exp/catalog.hpp"
 #include "util/json.hpp"
 
 namespace cloudwf::svc {
@@ -33,6 +34,11 @@ TEST(Protocol, DecodesSeedRange) {
 }
 
 TEST(Protocol, ScenarioNamesRoundTrip) {
+  const auto parse_scenario = [](const std::string& name) {
+    return decode_rank(parse(R"({"workflow":"montage","scenario":")" + name +
+                             R"("})"))
+        .scenario;
+  };
   EXPECT_EQ(parse_scenario("pareto"), workload::ScenarioKind::pareto);
   EXPECT_EQ(parse_scenario("best-case"), workload::ScenarioKind::best_case);
   EXPECT_EQ(parse_scenario("worst-case"), workload::ScenarioKind::worst_case);
@@ -96,7 +102,7 @@ TEST(Protocol, ErrorBodyIsJson) {
 }
 
 TEST(Protocol, KnownWorkflowsCoverThePaperSet) {
-  const auto& names = known_workflows();
+  const auto& names = exp::catalog::kWorkflowNames;
   EXPECT_EQ(names.size(), 8u);
   for (const char* expected : {"montage", "cstem", "mapreduce", "sequential"})
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end());

@@ -1,8 +1,7 @@
 // The /v1/shard endpoint and the wire representations behind it: JSON and
-// binary shard round trips against a live server, the SweepRow <->
-// BinResultRow pinning that keeps the fabric's fixed point lossless, shard
-// admission limits, and the auth-token gate (constant-time check, /health
-// exempt, non-loopback binds refuse to start without a token).
+// binary shard round trips against a live server, shard admission limits,
+// and the auth-token gate (constant-time check, /health exempt,
+// non-loopback binds refuse to start without a token).
 #include "svc/binproto.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +17,7 @@
 
 #include "cloud/platform.hpp"
 #include "exp/sweep_grid.hpp"
+#include "svc/handlers.hpp"
 #include "svc/http.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
@@ -61,30 +61,6 @@ exp::SweepRow extreme_row() {
   return row;
 }
 
-// --- fixed-point pinning -------------------------------------------------
-
-TEST(ShardWire, SweepRowAndBinResultRowConvertLosslessly) {
-  // The fabric streams exp::SweepRow as svc::BinResultRow; the two structs
-  // must stay field-identical or merged sweeps silently stop being
-  // bit-identical. Extremes included: the conversion must not clamp.
-  const exp::SweepRow row = extreme_row();
-  const BinResultRow wire = bin_sweep_row(row);
-  EXPECT_EQ(wire.seed, row.seed);
-  EXPECT_EQ(wire.strategy, row.strategy);
-  EXPECT_EQ(wire.makespan_us, row.makespan_us);
-  EXPECT_EQ(wire.vm_cost_micros, row.vm_cost_micros);
-  EXPECT_EQ(wire.egress_cost_micros, row.egress_cost_micros);
-  EXPECT_EQ(wire.total_cost_micros, row.total_cost_micros);
-  EXPECT_EQ(wire.idle_us, row.idle_us);
-  EXPECT_EQ(wire.busy_us, row.busy_us);
-  EXPECT_EQ(wire.vms_used, row.vms_used);
-  EXPECT_EQ(wire.total_btus, row.total_btus);
-  EXPECT_EQ(wire.utilization_ppm, row.utilization_ppm);
-  EXPECT_EQ(wire.gain_pct_ppm, row.gain_pct_ppm);
-  EXPECT_EQ(wire.loss_pct_ppm, row.loss_pct_ppm);
-  EXPECT_EQ(sweep_row_of(wire), row);  // exact round trip
-}
-
 // --- binary shard frames -------------------------------------------------
 
 TEST(ShardWire, ShardRequestFrameRoundTrips) {
@@ -100,7 +76,7 @@ TEST(ShardWire, ShardRequestFrameRoundTrips) {
 TEST(ShardWire, ShardResponseFrameRoundTrips) {
   BinShardResponse response;
   response.shard_id = 11;
-  response.rows = {bin_sweep_row(extreme_row())};
+  response.rows = {extreme_row()};
   const std::string wire = encode_frame(response);
   const BinFrame decoded = decode_frame(wire);
   EXPECT_EQ(encode_frame(decoded), wire);
@@ -112,7 +88,7 @@ TEST(ShardWire, ShardResponseFrameRoundTrips) {
 TEST(ShardWire, TruncatedShardFramesFailWithInBoundsOffsets) {
   for (const std::string& wire :
        {encode_frame(sample_shard()),
-        encode_frame(BinShardResponse{3, {bin_sweep_row(extreme_row())}})}) {
+        encode_frame(BinShardResponse{3, {extreme_row()}})}) {
     for (std::size_t cut = 0; cut < wire.size(); ++cut) {
       try {
         (void)decode_frame(wire.substr(0, cut));
@@ -131,6 +107,32 @@ TEST(ShardWire, JsonShardBodyRoundTrips) {
       decode_shard(util::Json::parse(shard_request_body(shard)));
   EXPECT_EQ(back, shard);
   EXPECT_NO_THROW(validate_shard(back));
+}
+
+TEST(ShardWire, JsonShardResultKeepsVmsUsedInU32) {
+  const auto body_with = [](double vms_used) {
+    util::Json row = sweep_row_json(exp::SweepRow{});
+    row["vms_used"] = vms_used;
+    util::Json rows = util::Json::array();
+    rows.push_back(std::move(row));
+    util::Json body = util::Json::object();
+    body["shard_id"] = static_cast<std::int64_t>(0);
+    body["rows"] = std::move(rows);
+    return body;
+  };
+  EXPECT_EQ(decode_shard_result(body_with(4294967295.0)).rows.at(0).vms_used,
+            std::numeric_limits<std::uint32_t>::max());
+  // A binary frame cannot carry these, so JSON must not wrap them into u32.
+  for (const double vms_used : {-1.0, 5000000000.0}) {
+    try {
+      (void)decode_shard_result(body_with(vms_used));
+      FAIL() << "vms_used " << vms_used << " decoded";
+    } catch (const BadRequest& e) {
+      EXPECT_NE(std::string(e.what()).find("row field 'vms_used'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ShardWire, ValidateShardEnforcesGridAndCellCaps) {
@@ -199,10 +201,7 @@ TEST_F(ShardServiceTest, BinaryShardAnswersIdenticalRows) {
   ASSERT_NE(decoded, nullptr);
   EXPECT_EQ(decoded->shard_id, shard.shard_id);
 
-  std::vector<exp::SweepRow> rows;
-  for (const BinResultRow& row : decoded->rows)
-    rows.push_back(sweep_row_of(row));
-  EXPECT_EQ(rows, exp::run_shard(shard, cloud::Platform::ec2()));
+  EXPECT_EQ(decoded->rows, exp::run_shard(shard, cloud::Platform::ec2()));
 }
 
 TEST_F(ShardServiceTest, RejectsBadShards) {

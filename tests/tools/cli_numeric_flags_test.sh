@@ -42,7 +42,8 @@ run() { expect_reject "$1" "$CLOUDWF" "${@:2}"; }
 
 run --seed run --workflow montage --strategy OneVMperTask-s --seed 12abc
 run --seed run --workflow montage --strategy OneVMperTask-s --seed -3
-run "--workflow montage:N" run --workflow montage:huge --strategy OneVMperTask-s
+# family:N is refused with the catalog's text, the same on every surface.
+run "task count in 'montage:huge'" run --workflow montage:huge --strategy OneVMperTask-s
 run --budget plan --workflow montage --budget 1.5x
 run --deadline plan --workflow montage --deadline nan
 run --deadline-factor constrained --workflow montage --deadline-factor zero

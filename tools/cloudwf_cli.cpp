@@ -38,12 +38,14 @@
 //                   [--quantum S] [--seed N] [--json]
 //   cloudwf help
 //
-// Workflow names: montage, cstem, mapreduce, sequential, epigenomics,
-// cybershake, ligo, sipht; "family:N" scales a Pegasus family to >= N tasks
-// (e.g. epigenomics:1000); anything else is treated as a workflow file in
-// the dag/io text format.
+// Workflow, strategy and scenario names are the catalog's (exp/catalog.hpp,
+// listed by `cloudwf list`); the one-shot commands take "family:N" up to
+// 10^6 tasks, sweeps up to 20,000. On top of the catalog, --workflow also
+// reads an inline edge-DSL string ("a:600 -> b; a -> c") or a workflow file
+// in the dag/io text format, and --scenario also takes as-is.
 #include <chrono>
 #include <csignal>
+#include <filesystem>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -60,11 +62,11 @@
 #include "check/shard_merge.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/worker.hpp"
+#include "exp/catalog.hpp"
 #include "exp/sweep_grid.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_sim.hpp"
-#include "dag/builders.hpp"
 #include "dag/edge_dsl.hpp"
 #include "dag/science.hpp"
 #include "exp/artifacts.hpp"
@@ -82,7 +84,6 @@
 #include "sim/schedule_diff.hpp"
 #include "sim/validator.hpp"
 #include "sim/vm_report.hpp"
-#include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "util/json.hpp"
 #include "util/parse.hpp"
@@ -146,29 +147,16 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
+/// An inline edge-DSL workflow, a catalog name, or failing those an
+/// existing workflow file; anything else gets the catalog's refusal.
 dag::Workflow resolve_workflow(const std::string& spec) {
-  if (spec == "montage") return dag::builders::montage24();
-  if (spec == "cstem") return dag::builders::cstem();
-  if (spec == "mapreduce") return dag::builders::map_reduce();
-  if (spec == "sequential") return dag::builders::sequential_chain();
-  if (spec == "epigenomics") return dag::science::epigenomics();
-  if (spec == "cybershake") return dag::science::cybershake();
-  if (spec == "ligo") return dag::science::ligo();
-  if (spec == "sipht") return dag::science::sipht();
-  // "family:N" scales a Pegasus family to >= N tasks, e.g. epigenomics:1000.
-  if (const std::size_t colon = spec.find(':');
-      colon != std::string::npos && spec.find("->") == std::string::npos) {
-    const std::string head = spec.substr(0, colon);
-    for (const dag::science::Family f : dag::science::kAllFamilies)
-      if (head == dag::science::name_of(f))
-        return dag::science::scaled(
-            f, util::parse_size(spec.substr(colon + 1),
-                                "--workflow " + head + ":N", 1, 1000000));
-  }
-  // A spec containing "->" is an inline edge-DSL workflow
-  // (e.g. --workflow "a:600 -> b; a -> c; b, c -> d").
   if (spec.find("->") != std::string::npos)
     return dag::parse_edge_dsl(spec, "inline");
+  try {
+    return exp::catalog::workflow(spec, exp::catalog::kMaxCliTasks);
+  } catch (const std::invalid_argument&) {
+    if (!std::filesystem::is_regular_file(spec)) throw;
+  }
   return dag::load_workflow(spec);
 }
 
@@ -177,14 +165,7 @@ bool scenario_is_as_is(const Args& args) {
 }
 
 workload::ScenarioKind resolve_scenario(const Args& args) {
-  const std::string name = args.option("scenario").value_or("pareto");
-  for (workload::ScenarioKind kind : workload::kAllScenarioKinds) {
-    if (name == workload::name_of(kind)) return kind;
-  }
-  throw std::runtime_error(
-      "unknown scenario '" + name +
-      "' (pareto|best-case|worst-case|data-intensive|cold-start|"
-      "variable-price|deadline-budget|as-is)");
+  return exp::catalog::scenario(args.option("scenario").value_or("pareto"));
 }
 
 /// The platform a manual run must schedule and bill on: the scenario's
@@ -217,23 +198,26 @@ exp::ExperimentRunner make_runner(const Args& args) {
 }
 
 int cmd_list() {
-  std::cout << "workflows: montage cstem mapreduce sequential "
-               "epigenomics cybershake ligo sipht (or a .wf file)\n\n";
-  std::cout << "paper strategies (Fig. 4 legend order):\n";
-  for (const std::string& label : scheduling::paper_strategy_labels())
-    std::cout << "  " << label << '\n';
-  std::cout << "\nbaseline strategies (related work):\n";
-  for (const scheduling::Strategy& s : scheduling::baseline_strategies())
+  std::cout << "workflows:";
+  for (const std::string_view name : exp::catalog::kWorkflowNames)
+    std::cout << ' ' << name;
+  std::cout << "\n  or family:N, N tasks of";
+  for (const dag::science::Family f : dag::science::kAllFamilies)
+    std::cout << ' ' << dag::science::name_of(f);
+  std::cout << "\n  (N up to " << exp::catalog::kMaxServedTasks
+            << " for sweep and serve, " << exp::catalog::kMaxCliTasks
+            << " for the other commands)\n  or, outside sweep and serve, an "
+               "edge-DSL string or a .wf file\n\n";
+  std::cout << "strategies (the Fig. 4 legend, the xlarge series, then "
+               "related-work baselines;\n  homogeneous series also take the "
+               "full size name, e.g. AllParExceed-xlarge):\n";
+  for (const scheduling::Strategy& s : exp::catalog::strategies())
     std::cout << "  " << s.label << '\n';
-  std::cout << "\nscenarios: pareto best-case worst-case data-intensive "
-               "cold-start variable-price deadline-budget\n";
+  std::cout << "\nscenarios:";
+  for (const workload::ScenarioKind kind : workload::kAllScenarioKinds)
+    std::cout << ' ' << workload::name_of(kind);
+  std::cout << "\n  (run, diff, trace and mtsim also take as-is)\n";
   return 0;
-}
-
-scheduling::Strategy resolve_strategy(const std::string& label) {
-  for (scheduling::Strategy& s : scheduling::baseline_strategies())
-    if (s.label == label) return std::move(s);
-  return scheduling::strategy_by_label(label);
 }
 
 int cmd_run(const Args& args) {
@@ -245,7 +229,8 @@ int cmd_run(const Args& args) {
   const exp::ExperimentRunner runner = make_runner(args);
   const dag::Workflow structure = resolve_workflow(*wf_spec);
   const dag::Workflow wf = materialize_or_keep(runner, structure, args);
-  const scheduling::Strategy strategy = resolve_strategy(*strategy_label);
+  const scheduling::Strategy& strategy =
+      exp::catalog::strategy(*strategy_label);
   const cloud::Platform platform = resolve_platform(runner, args);
 
   const sim::Schedule schedule = strategy.scheduler->run(wf, platform);
@@ -328,9 +313,9 @@ int cmd_diff(const Args& args) {
   const cloud::Platform platform = resolve_platform(runner, args);
 
   const sim::Schedule before =
-      resolve_strategy(*label_a).scheduler->run(wf, platform);
+      exp::catalog::strategy(*label_a).scheduler->run(wf, platform);
   const sim::Schedule after =
-      resolve_strategy(*label_b).scheduler->run(wf, platform);
+      exp::catalog::strategy(*label_b).scheduler->run(wf, platform);
   std::cout << *label_a << " -> " << *label_b << " on " << wf.name() << ":\n"
             << sim::render_diff(
                    sim::diff_schedules(wf, before, after, platform));
@@ -370,7 +355,8 @@ int cmd_trace(const Args& args) {
   const exp::ExperimentRunner runner = make_runner(args);
   const dag::Workflow structure = resolve_workflow(*wf_spec);
   const dag::Workflow wf = materialize_or_keep(runner, structure, args);
-  const scheduling::Strategy strategy = resolve_strategy(*strategy_label);
+  const scheduling::Strategy& strategy =
+      exp::catalog::strategy(*strategy_label);
   const cloud::Platform platform = resolve_platform(runner, args);
 
   obs::TraceRecorder recorder;
@@ -598,7 +584,7 @@ exp::SweepGridSpec parse_grid(const Args& args) {
   grid.workflows = split_csv(args.option("workflows").value_or("montage"));
   for (const std::string& name :
        split_csv(args.option("scenarios").value_or("pareto")))
-    grid.scenarios.push_back(svc::parse_scenario(name));
+    grid.scenarios.push_back(exp::catalog::scenario(name));
   if (const auto strategies = args.option("strategies"))
     grid.strategies = split_csv(*strategies);
   else

@@ -50,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "exp/catalog.hpp"
 #include "svc/binproto.hpp"
 #include "svc/http.hpp"
 #include "svc/protocol.hpp"
@@ -103,7 +104,7 @@ RequestSpec make_spec(const Options& opt, std::size_t index) {
 
   if (opt.binary) {
     const cloudwf::workload::ScenarioKind scenario =
-        cloudwf::svc::parse_scenario(opt.scenario);
+        cloudwf::exp::catalog::scenario(opt.scenario);
     if (kind == "rank") {
       cloudwf::svc::RankRequest req;
       req.workflow = opt.workflow;
