@@ -74,7 +74,7 @@ void BM_VmPoolPlaceAndReuseOrder(benchmark::State& state) {
           next_free[id] + 1.0 + static_cast<double>(task % 7);
       pool.place(id, task, next_free[id], end);
       next_free[id] = end;
-      benchmark::DoNotOptimize(pool.reuse_order().data());
+      benchmark::DoNotOptimize(pool.reuse_order().front());
     }
   }
 }

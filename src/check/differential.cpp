@@ -103,12 +103,13 @@ std::string diff_relative(const sim::GainLoss& fast, const sim::GainLoss& naive)
   return os.str();
 }
 
-/// The four science families the differential samples (montage's ring
-/// builder is exercised by its own suite; these four cover the wide /
-/// deep / fan-in regimes the paper's schedulers branch on).
-constexpr std::array<dag::science::Family, 4> kDiffFamilies = {
+/// The science families the differential samples: all five, so the wide /
+/// deep / fan-in regimes the paper's schedulers branch on all appear, and
+/// so does montage, the shape that rents the most VMs per task.
+constexpr std::array<dag::science::Family, 5> kDiffFamilies = {
     dag::science::Family::epigenomics, dag::science::Family::cybershake,
-    dag::science::Family::ligo, dag::science::Family::sipht};
+    dag::science::Family::ligo, dag::science::Family::sipht,
+    dag::science::Family::montage};
 
 /// Random DAG shape for case `i`, diverse enough to hit every structural
 /// regime the schedulers branch on (chains, wide levels, skip edges) —

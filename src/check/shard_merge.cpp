@@ -110,22 +110,40 @@ ShardMergeReport check_shard_merge(const exp::SweepGridSpec& grid,
       continue;
     }
 
-    // Same materialization the shard path used: seed via ScenarioConfig,
-    // scenario via materialize. The freshly built schedule must pass every
-    // platform-model invariant.
+    // Same materialization and platform the shard path used: seed via
+    // ScenarioConfig, scenario via materialize, and the scenario's platform
+    // (cold-start delays, price path). The freshly built schedule must pass
+    // every platform-model invariant and be the schedule the row describes.
     workload::ScenarioConfig cfg;
     cfg.seed = cell.seed;
     const exp::ExperimentRunner runner(platform, cfg);
     const dag::Workflow materialized = runner.materialize(
         exp::catalog::workflow(cell.workflow, exp::catalog::kMaxServedTasks),
         cell.scenario);
+    const cloud::Platform env = runner.scenario_platform(cell.scenario);
     const scheduling::Strategy& strategy = exp::catalog::strategy(cell.strategy);
-    const sim::Schedule schedule =
-        strategy.scheduler->run(materialized, platform);
-    OracleReport oracle = check_schedule(materialized, schedule, platform);
+    const sim::Schedule schedule = strategy.scheduler->run(materialized, env);
+    OracleReport oracle = check_schedule(materialized, schedule, env);
     for (Violation& v : oracle.violations)
       violate("merge-oracle/" + v.invariant,
               cell_label(cell, index) + ": " + v.detail);
+
+    exp::RunResult rebuilt;
+    rebuilt.metrics = sim::compute_metrics(materialized, schedule, env);
+    const exp::SweepRow expected = exp::sweep_row(rebuilt, cell.seed);
+    const exp::SweepRow& row = merged[static_cast<std::size_t>(index)];
+    const auto field = [&](const char* name, std::int64_t got,
+                           std::int64_t want) {
+      if (got != want)
+        violate("merge-oracle/row",
+                cell_label(cell, index) + ": rebuilt schedule's " + name +
+                    " " + std::to_string(want) + " != merged row's " +
+                    std::to_string(got));
+    };
+    field("makespan_us", row.makespan_us, expected.makespan_us);
+    field("vm_cost_micros", row.vm_cost_micros, expected.vm_cost_micros);
+    field("vms_used", row.vms_used, expected.vms_used);
+    field("total_btus", row.total_btus, expected.total_btus);
     ++report.cells_verified;
   }
   return report;

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/work.hpp"
+
 namespace cloudwf::cloud {
 
 void Vm::set_size(InstanceSize s) {
@@ -85,7 +87,165 @@ namespace {
 // Index verification (tests): every reuse_order() query re-sorts from
 // scratch and compares against the incrementally maintained index.
 std::atomic<bool> g_verify_index{false};
+
+/// Treap priority of a VM id: splitmix64's finalizer, a bijection, so no
+/// two ids tie and the tree's shape depends on the contents alone.
+std::uint64_t priority(VmId id) noexcept {
+  std::uint64_t z = (static_cast<std::uint64_t>(id) + 1) * 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 }  // namespace
+
+std::uint64_t ReuseOrder::assign(std::span<const VmId> sorted,
+                                 std::span<const Vm> vms) {
+  root_ = head_ = kInvalidVm;
+  if (nodes_.size() < vms.size()) nodes_.resize(vms.size());
+  // In-order input: the treap is the Cartesian tree of the priorities,
+  // built along its right spine in one pass.
+  std::vector<VmId> spine;
+  VmId prev = kInvalidVm;
+  for (const VmId id : sorted) {
+    Node& n = nodes_[id];
+    n.busy = vms[id].busy_time();
+    n.prev = prev;
+    n.next = kInvalidVm;
+    n.right = kInvalidVm;
+    n.left = kInvalidVm;
+    (prev != kInvalidVm ? nodes_[prev].next : head_) = id;
+    prev = id;
+    while (!spine.empty() && priority(spine.back()) < priority(id)) {
+      n.left = spine.back();
+      spine.pop_back();
+    }
+    if (!spine.empty()) nodes_[spine.back()].right = id;
+    spine.push_back(id);
+  }
+  root_ = spine.empty() ? kInvalidVm : spine.front();
+  return sorted.size();
+}
+
+std::uint64_t ReuseOrder::insert(VmId id, util::Seconds busy) {
+  if (nodes_.size() <= id) nodes_.resize(static_cast<std::size_t>(id) + 1);
+  nodes_[id].busy = busy;
+  // Descend while the subtree root outranks `id`; the in-order neighbours
+  // are the last nodes the search path leaves to the right and to the left.
+  const std::uint64_t rank = priority(id);
+  VmId pred = kInvalidVm, succ = kInvalidVm;
+  VmId* link = &root_;
+  while (*link != kInvalidVm && priority(*link) > rank) {
+    const VmId at = *link;
+    if (before(id, busy, at)) {
+      succ = at;
+      link = &nodes_[at].left;
+    } else {
+      pred = at;
+      link = &nodes_[at].right;
+    }
+  }
+  // `id` takes this link; the subtree it displaces splits around its key
+  // into its left (preceding) and right (following) children.
+  VmId rest = *link;
+  *link = id;
+  VmId* lo = &nodes_[id].left;
+  VmId* hi = &nodes_[id].right;
+  std::uint64_t moved = 1;
+  for (; rest != kInvalidVm; ++moved) {
+    const VmId at = rest;
+    if (before(id, busy, at)) {
+      *hi = at;
+      hi = &nodes_[at].left;
+      rest = *hi;
+      succ = at;
+    } else {
+      *lo = at;
+      lo = &nodes_[at].right;
+      rest = *lo;
+      pred = at;
+    }
+  }
+  *lo = kInvalidVm;
+  *hi = kInvalidVm;
+
+  nodes_[id].prev = pred;
+  nodes_[id].next = succ;
+  (pred != kInvalidVm ? nodes_[pred].next : head_) = id;
+  if (succ != kInvalidVm) nodes_[succ].prev = id;
+  return moved;
+}
+
+std::uint64_t ReuseOrder::erase(VmId id) {
+  const util::Seconds busy = nodes_[id].busy;
+  VmId* link = &root_;
+  while (*link != id) {
+    const VmId at = *link;
+    if (at == kInvalidVm)
+      throw std::logic_error("ReuseOrder::erase: vm " + std::to_string(id) +
+                             " is not indexed");
+    link = before(id, busy, at) ? &nodes_[at].left : &nodes_[at].right;
+  }
+  // Its children merge into its link along their facing spines.
+  VmId a = nodes_[id].left, b = nodes_[id].right;
+  std::uint64_t moved = 0;
+  for (; a != kInvalidVm && b != kInvalidVm; ++moved) {
+    if (priority(a) > priority(b)) {
+      *link = a;
+      link = &nodes_[a].right;
+      a = *link;
+    } else {
+      *link = b;
+      link = &nodes_[b].left;
+      b = *link;
+    }
+  }
+  *link = a != kInvalidVm ? a : b;
+
+  const VmId prev = nodes_[id].prev, next = nodes_[id].next;
+  (prev != kInvalidVm ? nodes_[prev].next : head_) = next;
+  if (next != kInvalidVm) nodes_[next].prev = prev;
+  return moved;
+}
+
+std::uint64_t ReuseOrder::raise(VmId id, util::Seconds busy) {
+  // A larger key that still follows the predecessor keeps every ordering
+  // relation of the tree: rewrite it in place.
+  const VmId prev = nodes_[id].prev;
+  if (prev == kInvalidVm || !before(id, busy, prev)) {
+    nodes_[id].busy = busy;
+    return 0;
+  }
+  const std::uint64_t moved = erase(id);
+  return moved + insert(id, busy);
+}
+
+bool ReuseOrder::consistent(std::span<const Vm> vms) const {
+  std::vector<VmId> in_order;
+  std::vector<VmId> stack;
+  for (VmId at = root_; at != kInvalidVm || !stack.empty();) {
+    if (at != kInvalidVm) {
+      for (const VmId child : {nodes_[at].left, nodes_[at].right})
+        if (child != kInvalidVm && priority(child) > priority(at)) return false;
+      stack.push_back(at);
+      at = nodes_[at].left;
+      continue;
+    }
+    at = stack.back();
+    stack.pop_back();
+    in_order.push_back(at);
+    at = nodes_[at].right;
+  }
+  VmId prev = kInvalidVm;
+  auto threaded = begin();
+  for (const VmId id : in_order) {
+    if (threaded == end() || *threaded != id || nodes_[id].prev != prev ||
+        nodes_[id].busy != vms[id].busy_time())
+      return false;
+    prev = id;
+    ++threaded;
+  }
+  return threaded == end();
+}
 
 void VmPool::set_index_verification(bool on) noexcept {
   g_verify_index.store(on, std::memory_order_relaxed);
@@ -142,65 +302,44 @@ void VmPool::place(VmId id, dag::TaskId task, util::Seconds start,
   const bool first_use = !v.used();
   v.place(task, start, end);
   placement_log_.push_back(id);
-  if (reuse_dirty_) return;  // a query will rebuild from scratch anyway
+  if (reuse_dirty_) return;  // the next query builds it from scratch
 
-  // Keep reuse_index_ sorted by (busy_time desc, id asc). A placement only
-  // grows busy time, so an already-indexed VM can only move left.
-  const auto precedes = [this](VmId a, VmId b) {
-    const util::Seconds ba = vms_[a].busy_time(), bb = vms_[b].busy_time();
-    if (ba != bb) return ba > bb;
-    return a < b;
-  };
-  if (pos_.size() < vms_.size()) pos_.resize(vms_.size(), kInvalidVm);
-  if (first_use) {
-    const auto it =
-        std::lower_bound(reuse_index_.begin(), reuse_index_.end(), id, precedes);
-    const auto slot = static_cast<std::size_t>(it - reuse_index_.begin());
-    reuse_index_.insert(it, id);
-    for (std::size_t i = slot; i < reuse_index_.size(); ++i)
-      pos_[reuse_index_[i]] = static_cast<VmId>(i);
-  } else {
-    std::size_t cur = pos_[id];
-    if (cur >= reuse_index_.size() || reuse_index_[cur] != id) {
-      reuse_dirty_ = true;  // defensive: stale slot, fall back to rebuild
-      return;
-    }
-    while (cur > 0 && precedes(id, reuse_index_[cur - 1])) {
-      reuse_index_[cur] = reuse_index_[cur - 1];
-      pos_[reuse_index_[cur]] = static_cast<VmId>(cur);
-      --cur;
-    }
-    reuse_index_[cur] = id;
-    pos_[id] = static_cast<VmId>(cur);
-  }
+  // A placement only grows busy time, so an indexed VM can only move
+  // forward in the (busy desc, id asc) order.
+  const std::uint64_t moved = first_use
+                                  ? reuse_index_.insert(id, v.busy_time())
+                                  : reuse_index_.raise(id, v.busy_time());
+  if (moved != 0) obs::add_work(obs::Work::reuse_slots_moved, moved);
 }
 
-void VmPool::rebuild_reuse_index() const {
-  reuse_index_.clear();
+std::vector<VmId> VmPool::sorted_used_ids() const {
+  std::vector<VmId> ids;
   for (const Vm& v : vms_)
-    if (v.used()) reuse_index_.push_back(v.id());
-  std::sort(reuse_index_.begin(), reuse_index_.end(), [this](VmId a, VmId b) {
+    if (v.used()) ids.push_back(v.id());
+  std::sort(ids.begin(), ids.end(), [this](VmId a, VmId b) {
     const util::Seconds ba = vms_[a].busy_time(), bb = vms_[b].busy_time();
     if (ba != bb) return ba > bb;
     return a < b;
   });
-  pos_.assign(vms_.size(), kInvalidVm);
-  for (std::size_t i = 0; i < reuse_index_.size(); ++i)
-    pos_[reuse_index_[i]] = static_cast<VmId>(i);
-  reuse_dirty_ = false;
+  return ids;
 }
 
-std::span<const VmId> VmPool::reuse_order() const {
-  if (reuse_dirty_) rebuild_reuse_index();
+const ReuseOrder& VmPool::reuse_order() const {
+  if (reuse_dirty_) {
+    const std::vector<VmId> sorted = sorted_used_ids();
+    obs::add_work(obs::Work::reuse_slots_moved,
+                  reuse_index_.assign(sorted, vms_));
+    reuse_dirty_ = false;
+  }
   if (g_verify_index.load(std::memory_order_relaxed)) {
-    const std::vector<VmId> incremental = reuse_index_;
-    rebuild_reuse_index();
-    if (incremental != reuse_index_)
+    const std::vector<VmId> incremental(reuse_index_.begin(), reuse_index_.end());
+    const std::vector<VmId> fresh = sorted_used_ids();
+    if (incremental != fresh || !reuse_index_.consistent(vms_))
       throw std::logic_error(
           "VmPool::reuse_order: incremental index diverged from linear sort "
           "(" +
           std::to_string(incremental.size()) + " vs " +
-          std::to_string(reuse_index_.size()) + " used VMs)");
+          std::to_string(fresh.size()) + " used VMs)");
   }
   return reuse_index_;
 }

@@ -6,7 +6,9 @@
 // placement ends), which is what the `place` precondition enforces.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <vector>
@@ -139,6 +141,92 @@ class Vm {
   std::vector<Placement> placements_;
 };
 
+/// The reuse preference order of the StartPar/AllPar policies: used VMs by
+/// busy time descending, id ascending on ties. A treap over VM ids whose heap
+/// priorities are a hash of the id (so the shape is a deterministic function
+/// of the contents), threaded by in-order prev/next links: front() and each
+/// step of a walk are O(1), and inserting a VM or raising its busy time
+/// costs an O(log V) expected descent that relinks O(1) expected entries.
+/// VmPool owns the only mutable instance; everyone else reads it through
+/// VmPool::reuse_order().
+class ReuseOrder {
+  struct Node {
+    VmId left = kInvalidVm;
+    VmId right = kInvalidVm;
+    VmId prev = kInvalidVm;
+    VmId next = kInvalidVm;
+    util::Seconds busy = 0;  ///< the key: busy time when last (re)indexed
+  };
+
+ public:
+  class iterator {
+   public:
+    using value_type = VmId;
+    using difference_type = std::ptrdiff_t;
+    using iterator_category = std::forward_iterator_tag;
+    using pointer = const VmId*;
+    using reference = VmId;
+
+    iterator() = default;
+    [[nodiscard]] VmId operator*() const noexcept { return id_; }
+    iterator& operator++() noexcept {
+      id_ = (*nodes_)[id_].next;
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      iterator before = *this;
+      ++*this;
+      return before;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) noexcept {
+      return a.id_ == b.id_;
+    }
+
+   private:
+    friend class ReuseOrder;
+    iterator(const std::vector<Node>* nodes, VmId id) noexcept
+        : nodes_(nodes), id_(id) {}
+    const std::vector<Node>* nodes_ = nullptr;
+    VmId id_ = kInvalidVm;
+  };
+
+  [[nodiscard]] iterator begin() const noexcept { return {&nodes_, head_}; }
+  [[nodiscard]] iterator end() const noexcept { return {&nodes_, kInvalidVm}; }
+  [[nodiscard]] bool empty() const noexcept { return head_ == kInvalidVm; }
+  /// The busiest used VM. Precondition: !empty().
+  [[nodiscard]] VmId front() const noexcept { return head_; }
+
+  /// Replaces the contents with `sorted`, already in (busy desc, id asc)
+  /// order, each keyed by its busy time in `vms`. O(V). Returns the entries
+  /// written.
+  std::uint64_t assign(std::span<const VmId> sorted, std::span<const Vm> vms);
+  /// Adds `id`, not yet present, with busy time `busy`. Returns the entries
+  /// relinked.
+  std::uint64_t insert(VmId id, util::Seconds busy);
+  /// Raises present `id`'s busy time to `busy` (>= its current key), moving
+  /// it forward if it now precedes its predecessor. Returns the entries
+  /// relinked (0 when the order is unchanged).
+  std::uint64_t raise(VmId id, util::Seconds busy);
+
+  /// Structural self-check (verification mode): the tree's in-order walk
+  /// equals the threaded list, priorities form a heap and every key equals
+  /// its VM's busy time in `vms`.
+  [[nodiscard]] bool consistent(std::span<const Vm> vms) const;
+
+ private:
+  /// Strict (busy desc, id asc) order of `id` keyed by `busy` against node
+  /// `at`'s stored key.
+  [[nodiscard]] bool before(VmId id, util::Seconds busy, VmId at) const noexcept {
+    const util::Seconds other = nodes_[at].busy;
+    return busy != other ? busy > other : id < at;
+  }
+  std::uint64_t erase(VmId id);
+
+  std::vector<Node> nodes_;  ///< indexed by VM id
+  VmId root_ = kInvalidVm;
+  VmId head_ = kInvalidVm;
+};
+
 class VmPool {
  public:
   VmPool() = default;
@@ -151,9 +239,9 @@ class VmPool {
   [[nodiscard]] bool empty() const noexcept { return vms_.empty(); }
 
   /// Mutable access marks the reuse index dirty (the caller may change
-  /// placements behind the pool's back); it is rebuilt lazily on the next
+  /// placements behind the pool's back); it is rebuilt on the next
   /// reuse_order() query. Prefer place() for appending placements — it
-  /// keeps the index incremental.
+  /// keeps a built index incremental.
   [[nodiscard]] Vm& vm(VmId id);
   [[nodiscard]] const Vm& vm(VmId id) const;
 
@@ -172,15 +260,18 @@ class VmPool {
     return mutation_epoch_;
   }
 
-  /// Appends a placement to `id`'s timeline (see Vm::place) while keeping
-  /// the reuse index incremental — the fast path sim::Schedule::assign uses.
+  /// Appends a placement to `id`'s timeline (see Vm::place) while keeping a
+  /// built reuse index incremental (O(log V)) — the fast path
+  /// sim::Schedule::assign uses.
   void place(VmId id, dag::TaskId task, util::Seconds start, util::Seconds end);
 
   /// Ids of all used VMs ordered by busy time descending, id ascending on
   /// ties — the reuse preference order of the StartPar/AllPar policies (the
   /// first admissible element equals the old linear scan's argmax). Valid
-  /// until the pool is mutated.
-  [[nodiscard]] std::span<const VmId> reuse_order() const;
+  /// until the pool is mutated. The index is built by the first query, so
+  /// a run that never asks (OneVMperTask, the upgrade schedulers' retimes)
+  /// never maintains it.
+  [[nodiscard]] const ReuseOrder& reuse_order() const;
 
   /// One entry per place() append, in append order: the id of the VM whose
   /// busy time just grew. Derived caches (PlacementContext's AllPar
@@ -193,9 +284,9 @@ class VmPool {
   }
 
   /// Globally enables cross-checking the incremental reuse index against a
-  /// freshly sorted one on every reuse_order() query; mismatches throw
-  /// std::logic_error. Test-only (off by default; costs O(V log V) per
-  /// query).
+  /// freshly sorted one (and its tree against its own threading) on every
+  /// reuse_order() query; mismatches throw std::logic_error. Test-only (off
+  /// by default; costs O(V log V) per query).
   static void set_index_verification(bool on) noexcept;
 
   /// Number of VMs that received at least one task.
@@ -211,17 +302,15 @@ class VmPool {
   void clear_placements() noexcept;
 
  private:
-  void rebuild_reuse_index() const;
+  [[nodiscard]] std::vector<VmId> sorted_used_ids() const;
 
   std::vector<Vm> vms_;
   std::vector<VmId> placement_log_;
-  // Reuse index: used VM ids sorted by (busy_time desc, id asc), maintained
-  // incrementally by place() and rebuilt lazily after any mutation that
-  // bypassed it. pos_[id] is the id's slot in reuse_index_ (kInvalidVm when
-  // unused or stale).
-  mutable std::vector<VmId> reuse_index_;
-  mutable std::vector<VmId> pos_;
-  mutable bool reuse_dirty_ = false;
+  // Reuse index: used VM ids in (busy_time desc, id asc) order. Built by
+  // the first reuse_order() query after construction or after any mutation
+  // that bypassed place(); maintained by place() while built.
+  mutable ReuseOrder reuse_index_;
+  mutable bool reuse_dirty_ = true;
   std::uint64_t mutation_epoch_ = 0;
 };
 

@@ -167,6 +167,9 @@ workload::ScenarioKind scenario(std::string_view name) {
 
 void check_seeds(std::uint64_t first, std::uint64_t last,
                  std::uint64_t max_count) {
+  if (first > kMaxSeed || last > kMaxSeed)
+    reject("seed exceeds " + std::to_string(kMaxSeed) +
+           ", the largest accepted seed");
   if (last < first)
     reject("seed range is inverted (first " + std::to_string(first) +
            " > last " + std::to_string(last) + ")");

@@ -39,6 +39,10 @@ inline constexpr std::uint64_t kMaxCliTasks = 1'000'000;
 /// Most seeds one /v1/evaluate request may ask for.
 inline constexpr std::uint64_t kMaxSeedsPerRequest = 256;
 
+/// Largest seed any surface accepts: JSON carries every integer up to here
+/// exactly (below 2^53), so both wire formats can ask every seed question.
+inline constexpr std::uint64_t kMaxSeed = 9'000'000'000'000'000;
+
 /// The served workflow names, in `cloudwf list` order.
 inline constexpr std::array<std::string_view, 8> kWorkflowNames = {
     "montage",     "cstem",      "mapreduce", "sequential",
@@ -66,8 +70,8 @@ void check_workflow(std::string_view name, std::uint64_t max_tasks);
 /// The scenario kind `name` names (workload::name_of's spelling).
 [[nodiscard]] workload::ScenarioKind scenario(std::string_view name);
 
-/// Throws when [first, last] is inverted or holds more than `max_count`
-/// seeds.
+/// Throws when a seed of [first, last] exceeds kMaxSeed, when the range is
+/// inverted, or when it holds more than `max_count` seeds.
 void check_seeds(std::uint64_t first, std::uint64_t last,
                  std::uint64_t max_count);
 

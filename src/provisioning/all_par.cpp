@@ -1,7 +1,5 @@
 #include "provisioning/detail.hpp"
 
-#include <span>
-
 #include "obs/trace.hpp"
 
 namespace cloudwf::provisioning {
@@ -21,7 +19,7 @@ cloud::VmId AllPar::choose_vm(dag::TaskId t, PlacementContext& ctx) {
   // admissible entry equals the historical linear scan's "largest
   // accumulated execution time" argmax, without evaluating est_on for the
   // VMs it skips.
-  const std::span<const cloud::VmId> order = pool.reuse_order();
+  const cloud::ReuseOrder& order = pool.reuse_order();
 
   if (!ctx.is_parallel_task(t)) {
     // Sequential task: "executed on the VM with the longest execution time —

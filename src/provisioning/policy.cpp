@@ -2,16 +2,27 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "obs/work.hpp"
 #include "provisioning/detail.hpp"
 
 namespace cloudwf::provisioning {
 
 namespace {
 constexpr std::size_t kSizePairs = cloud::kSizeCount * cloud::kSizeCount;
+constexpr std::size_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+constexpr util::Seconds kInf = std::numeric_limits<util::Seconds>::infinity();
+
+// How far past a VM's paid window a lower bound on the task's finish must
+// reach before best_parallel_reuse skips the VM unvisited. BTU arithmetic
+// decides at kTimeEpsilon (1e-6 s) and rounding errs by far less, so a
+// second-wide margin leaves every close call to the exact test.
+constexpr util::Seconds kSkipMargin = 1.0;
 
 // Scan verification (tests): every best_parallel_reuse answer is compared
 // against the historical linear walk over reuse_order().
@@ -160,6 +171,52 @@ cloud::VmId PlacementContext::linear_parallel_reuse(dag::TaskId t,
   return cloud::kInvalidVm;
 }
 
+PlacementContext::WindowKey PlacementContext::window_key(
+    const cloud::Vm& vm) const {
+  // last_session().end is the VM's free time (available_from()).
+  const cloud::Vm::Session& session = vm.last_session();
+  const util::Seconds paid_end = session.paid_end();
+  const util::Seconds own_start =
+      std::max(session.end, platform_->boot_delay(vm.size(), vm.region()));
+  return {paid_end, paid_end - own_start};
+}
+
+void PlacementContext::pull_window(std::size_t node) {
+  const WindowKey& l = window_tree_[2 * node];
+  const WindowKey& r = window_tree_[2 * node + 1];
+  window_tree_[node] = {std::max(l.paid_end, r.paid_end),
+                        std::max(l.slack, r.slack)};
+}
+
+void PlacementContext::set_window(std::size_t pos, WindowKey key) {
+  std::size_t node = window_leaves_ + pos;
+  window_tree_[node] = key;
+  for (node /= 2; node > 0; node /= 2) pull_window(node);
+}
+
+std::size_t PlacementContext::first_window_candidate(
+    std::size_t from, util::Seconds min_slack,
+    util::Seconds min_paid_end) const {
+  // Depth-first over the subtrees right of `from`, entering only those
+  // whose maxima pass both bounds (neither is ever met by a dead leaf).
+  if (from >= window_leaves_) return kNoSlot;
+  const auto passes = [&](std::size_t node) {
+    return window_tree_[node].slack > min_slack &&
+           window_tree_[node].paid_end > min_paid_end;
+  };
+  std::size_t node = window_leaves_ + from;
+  for (;;) {
+    if (passes(node)) {
+      if (node >= window_leaves_) return node - window_leaves_;
+      node *= 2;
+      continue;
+    }
+    while (node % 2 == 1) node /= 2;  // climb out of right children
+    if (node == 0) return kNoSlot;
+    ++node;
+  }
+}
+
 cloud::VmId PlacementContext::best_parallel_reuse(dag::TaskId t, bool exceed) {
   const cloud::VmPool& pool = this->pool();
   const int level = structure_->levels()[t];
@@ -168,82 +225,106 @@ cloud::VmId PlacementContext::best_parallel_reuse(dag::TaskId t, bool exceed) {
 
   bool rebuild = !scan_valid_ || scan_epoch_ != epoch || scan_level_ != level;
   if (!rebuild) {
-    // Fold placements since the last scan. A same-level placement turned
-    // its VM into a host of this level — the walk below unlinks it — and a
-    // surviving candidate's busy time is untouched, so the snapshot order
-    // stays exact. Anything else (a caller interleaving levels grew a
-    // candidate's busy time, or put a fresh VM into use) invalidates the
-    // snapshot's order: rebuild.
+    // Fold placements since the last query. A same-level placement turned
+    // its VM into a host of this level: its leaf dies. An append that left
+    // a candidate's busy time unchanged keeps the order but may have moved
+    // its paid window (a zero-length placement can open a new session):
+    // its leaf is re-keyed. Anything else (a caller interleaving levels
+    // grew a candidate's busy time, or put a fresh VM into use) invalidates
+    // the snapshot's order: rebuild.
     for (; scan_log_cursor_ < log.size(); ++scan_log_cursor_) {
       const cloud::Vm& v = pool.vm(log[scan_log_cursor_]);
-      if (vm_hosts_level_of(v, t)) continue;
-      if (v.id() < scan_in_list_.size() && scan_in_list_[v.id()] != 0 &&
-          v.busy_time() == scan_busy_[v.id()])
-        continue;  // zero-growth append: order unchanged
+      const std::size_t pos =
+          v.id() < scan_pos_.size() ? scan_pos_[v.id()] : kNoSlot;
+      if (vm_hosts_level_of(v, t)) {
+        if (pos != kNoSlot) set_window(pos, kDeadWindow);
+        continue;
+      }
+      if (pos != kNoSlot && v.busy_time() == scan_busy_[v.id()]) {
+        set_window(pos, window_key(v));
+        continue;
+      }
       rebuild = true;
       break;
     }
   }
 
   if (rebuild) {
-    const std::span<const cloud::VmId> order = pool.reuse_order();
-    scan_next_.assign(pool.size(), cloud::kInvalidVm);
+    const cloud::ReuseOrder& order = pool.reuse_order();
+    scan_ids_.assign(order.begin(), order.end());
+    scan_pos_.assign(pool.size(), kNoSlot);
     scan_busy_.resize(pool.size());
-    scan_in_list_.assign(pool.size(), 0);
-    scan_head_ = cloud::kInvalidVm;
-    cloud::VmId* tail = &scan_head_;
-    for (const cloud::VmId id : order) {
-      *tail = id;
-      tail = &scan_next_[id];
-      scan_busy_[id] = pool.vm(id).busy_time();
-      scan_in_list_[id] = 1;
+    scan_sizes_ = 0;
+    window_leaves_ = std::bit_ceil(std::max<std::size_t>(scan_ids_.size(), 1));
+    window_tree_.assign(2 * window_leaves_, kDeadWindow);
+    for (std::size_t i = 0; i < scan_ids_.size(); ++i) {
+      const cloud::Vm& vm = pool.vm(scan_ids_[i]);
+      scan_pos_[vm.id()] = static_cast<std::uint32_t>(i);
+      scan_busy_[vm.id()] = vm.busy_time();
+      scan_sizes_ |= 1u << cloud::index_of(vm.size());
+      if (!vm_hosts_level_of(vm, t))
+        window_tree_[window_leaves_ + i] = window_key(vm);
     }
+    for (std::size_t node = window_leaves_ - 1; node > 0; --node)
+      pull_window(node);
     scan_level_ = level;
     scan_epoch_ = epoch;
     scan_log_cursor_ = log.size();
     scan_valid_ = true;
   }
 
-  // Walk the survivors in (busy desc, id asc) order — exactly the
-  // reuse_order() walk with the already-detected hosts of this level
-  // removed. Hosts met for the first time are unlinked as we pass.
+  // The live leaves, in (busy desc, id asc) order, are exactly the
+  // snapshot's VMs that do not host the level. Exceed takes the first.
   //
-  // The BTU test first tries a lower bound on est_on(t, vm): the max of the
-  // VM's free time, its boot delay and `ready`, the predecessors' latest
-  // finish. est_on adds a nonnegative transfer to every finish, so it is
-  // never below the bound, and placement_adds_btu is monotone in its
-  // start: a VM that already adds a BTU at the bound is skipped without
-  // est_on's walk over the predecessors. `ready` is read once per query,
-  // on the first VM that needs it.
-  std::optional<util::Seconds> ready;
+  // NotExceed skips, unvisited, every VM whose reuse certainly adds a BTU.
+  // Any start there is at least `ready` (the predecessors' latest finish)
+  // and at least the VM's own free/boot time, and any exec time is at least
+  // `exec`, the fastest one among the snapshot's sizes. A VM whose window
+  // ends at least kSkipMargin before either bound plus `exec` therefore
+  // finishes past its paid window: a new session or a grown BTU, whatever
+  // placement_adds_btu's epsilon and rounding decide. The margin dwarfs
+  // both, so no skip rests on them.
+  //
+  // Each VM the descent reaches is still decided by the exact tests: first
+  // a lower bound on est_on (the max of the VM's free time, its boot delay
+  // and `ready` — est_on adds a nonnegative transfer to every finish, and
+  // placement_adds_btu is monotone in its start), then est_on itself.
+  // `ready` is read once per query, and only when some candidate is live.
+  util::Seconds min_slack = -kInf, min_paid_end = -kInf;
+  util::Seconds ready = 0.0;
+  if (!exceed && window_tree_[1].paid_end > -kInf) {
+    ready = predecessors_ready(t);
+    util::Seconds exec = kInf;
+    for (const cloud::InstanceSize s : cloud::kAllSizes)
+      if (scan_sizes_ & (1u << cloud::index_of(s)))
+        exec = std::min(exec, exec_time(t, s));
+    min_slack = exec - kSkipMargin;
+    min_paid_end = ready + exec - kSkipMargin;
+  }
+
   cloud::VmId winner = cloud::kInvalidVm;
-  cloud::VmId* link = &scan_head_;
-  while (*link != cloud::kInvalidVm) {
-    const cloud::Vm& vm = pool.vm(*link);
-    if (vm_hosts_level_of(vm, t)) {  // hosts the level: gone for good
-      scan_in_list_[*link] = 0;
-      *link = scan_next_[vm.id()];
-      continue;
-    }
+  std::uint64_t examined = 0;
+  for (std::size_t pos = first_window_candidate(0, min_slack, min_paid_end);
+       pos != kNoSlot;
+       pos = first_window_candidate(pos + 1, min_slack, min_paid_end)) {
+    const cloud::Vm& vm = pool.vm(scan_ids_[pos]);
     if (!exceed) {
-      if (!ready) ready = predecessors_ready(t);
+      ++examined;
       const util::Seconds exec = exec_time(t, vm.size());
       const util::Seconds bound =
           std::max({vm.available_from(),
-                    platform_->boot_delay(vm.size(), vm.region()), *ready});
+                    platform_->boot_delay(vm.size(), vm.region()), ready});
       bool adds_btu = vm.placement_adds_btu(bound, bound + exec);
       if (!adds_btu) {
         const util::Seconds est = est_on(t, vm);
         adds_btu = vm.placement_adds_btu(est, est + exec);
       }
-      if (adds_btu) {
-        link = &scan_next_[vm.id()];  // BTU admissibility is per-task: keep
-        continue;
-      }
+      if (adds_btu) continue;  // BTU admissibility is per-task: stays live
     }
     winner = vm.id();
     break;
   }
+  if (examined != 0) obs::add_work(obs::Work::reuse_vms_examined, examined);
 
   if (g_verify_scan.load(std::memory_order_relaxed)) {
     const cloud::VmId reference = linear_parallel_reuse(t, exceed);

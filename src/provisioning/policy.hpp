@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -122,15 +123,17 @@ class PlacementContext {
   /// time (lowest id on ties) that does not already host `t`'s level and —
   /// unless `exceed` — whose reuse would not add a BTU. kInvalidVm when no
   /// such VM exists (the caller rents). Equals the first admissible element
-  /// of a linear walk over reuse_order(), but answered from a candidate
-  /// list bound to `t`'s level: while a level is being placed, a surviving
-  /// candidate's busy time is frozen (any same-level placement turns its VM
-  /// into a host), so one reuse_order() snapshot stays exactly sorted and
-  /// hosts are unlinked in O(1) when a walk first meets them instead of
-  /// being re-skipped by every later task. The pool's placement_log() tells
+  /// of a linear walk over reuse_order(), but answered from a snapshot bound
+  /// to `t`'s level: while a level is being placed, a surviving candidate's
+  /// busy time is frozen (any same-level placement turns its VM into a
+  /// host), so one reuse_order() snapshot stays exactly sorted. A max-tree
+  /// over the snapshot holds each live candidate's paid-window end and
+  /// slack; hosts leave it as their placements arrive, and a NotExceed query
+  /// descends past every VM whose window provably closes before `t` could
+  /// finish there, testing only the rest. The pool's placement_log() tells
   /// the scan which VMs changed between calls; any change that is not a
-  /// same-level host (a foreign caller interleaving levels) rebuilds the
-  /// snapshot. Turns the per-level O(width²) host-skip scan into O(width).
+  /// same-level host or a zero-growth append (a foreign caller interleaving
+  /// levels) rebuilds the snapshot.
   [[nodiscard]] cloud::VmId best_parallel_reuse(dag::TaskId t, bool exceed);
 
   /// Globally cross-checks every best_parallel_reuse answer against the
@@ -177,15 +180,35 @@ class PlacementContext {
   mutable std::vector<char> vm_levels_;
   mutable std::uint64_t occupancy_epoch_ = 0;
 
-  // AllPar candidate list (best_parallel_reuse): a reuse_order() snapshot
-  // threaded as a singly linked list (scan_next_ indexed by VM id,
-  // kInvalidVm-terminated), valid for one (level, pool epoch) pair with
-  // per-member busy-time snapshots in scan_busy_. Advanced between scans by
+  // AllPar candidate index (best_parallel_reuse): a reuse_order() snapshot
+  // valid for one (level, pool epoch) pair. scan_ids_[i] is the snapshot's
+  // i-th VM and scan_pos_ maps an id back to i (kNoSlot when absent);
+  // scan_busy_ holds each member's busy time at the snapshot. window_tree_
+  // is a max-tree over the positions (leaves at [window_leaves_, 2x)) of
+  // each live candidate's paid-window end and slack (window end minus its
+  // own earliest start); a level host's leaf is -inf. scan_sizes_ is the
+  // bitmask of instance sizes in the snapshot. Advanced between queries by
   // folding the pool's placement_log() suffix past scan_log_cursor_.
-  std::vector<cloud::VmId> scan_next_;
+  struct WindowKey {
+    util::Seconds paid_end;
+    util::Seconds slack;
+  };
+  static constexpr WindowKey kDeadWindow{
+      -std::numeric_limits<util::Seconds>::infinity(),
+      -std::numeric_limits<util::Seconds>::infinity()};
+  [[nodiscard]] WindowKey window_key(const cloud::Vm& vm) const;
+  void pull_window(std::size_t node);
+  void set_window(std::size_t pos, WindowKey key);
+  [[nodiscard]] std::size_t first_window_candidate(std::size_t from,
+                                                   util::Seconds min_slack,
+                                                   util::Seconds min_paid_end) const;
+
+  std::vector<cloud::VmId> scan_ids_;
+  std::vector<std::uint32_t> scan_pos_;
   std::vector<util::Seconds> scan_busy_;
-  std::vector<char> scan_in_list_;
-  cloud::VmId scan_head_ = cloud::kInvalidVm;
+  std::vector<WindowKey> window_tree_;
+  std::size_t window_leaves_ = 0;
+  unsigned scan_sizes_ = 0;
   int scan_level_ = -1;
   std::uint64_t scan_epoch_ = 0;
   std::size_t scan_log_cursor_ = 0;

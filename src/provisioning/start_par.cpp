@@ -16,7 +16,7 @@ cloud::VmId StartPar::choose_vm(dag::TaskId t, PlacementContext& ctx) {
   // The reuse target ("the VM with the largest execution time is chosen"):
   // the head of the pool's busy-time-ordered reuse index, which equals the
   // old linear scan's argmax with its lowest-id tie-break.
-  const std::span<const cloud::VmId> order = ctx.pool().reuse_order();
+  const cloud::ReuseOrder& order = ctx.pool().reuse_order();
   if (order.empty()) return ctx.rent();  // no used VM yet (defensive)
   const cloud::Vm& candidate = ctx.pool().vm(order.front());
 

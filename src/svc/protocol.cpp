@@ -33,13 +33,33 @@ const std::string& required_string(const util::Json& body, const char* key) {
   return field->as_string();
 }
 
-std::uint64_t as_seed(const util::Json& value, const char* what) {
+/// A non-negative integral JSON number (any magnitude; the caller bounds
+/// it). Throws BadRequest naming `what` otherwise.
+double as_integral(const util::Json& value, const char* what) {
   if (!value.is_number())
     throw BadRequest(std::string(what) + " must be a non-negative integer");
   const double d = value.as_number();
-  if (d < 0 || d != std::floor(d) || d > 9.0e15)
+  if (d < 0 || d != std::floor(d))
+    throw BadRequest(std::string(what) + " must be a non-negative integer");
+  return d;
+}
+
+/// A shard id or cell index: exact integers only, up to 9e15.
+std::uint64_t as_index(const util::Json& value, const char* what) {
+  const double d = as_integral(value, what);
+  if (d > 9.0e15)
     throw BadRequest(std::string(what) + " must be a non-negative integer");
   return static_cast<std::uint64_t>(d);
+}
+
+/// A seed. Integers past exp::catalog::kMaxSeed decode to kMaxSeed + 1, so
+/// catalog::check_seeds refuses them with the text every surface shares (a
+/// double past 2^64 could not be converted anyway).
+std::uint64_t as_seed(const util::Json& value, const char* what) {
+  const double d = as_integral(value, what);
+  constexpr std::uint64_t kPastLimit = exp::catalog::kMaxSeed + 1;
+  return d >= static_cast<double>(kPastLimit) ? kPastLimit
+                                              : static_cast<std::uint64_t>(d);
 }
 
 void decode_seed_fields(const util::Json& body, std::uint64_t& begin,
@@ -75,6 +95,7 @@ void validate_request(const RankRequest& request) {
   admit([&] {
     exp::catalog::check_workflow(request.workflow,
                                  exp::catalog::kMaxServedTasks);
+    exp::catalog::check_seeds(request.seed, request.seed, 1);
   });
 }
 
@@ -106,16 +127,17 @@ exp::ShardSpec decode_shard(const util::Json& body) {
   if (!body.is_object()) throw BadRequest("request body must be a JSON object");
   exp::ShardSpec shard;
 
-  const auto required_u64 = [](const util::Json& obj, const char* key) {
+  const auto required_u64 = [](const util::Json& obj, const char* key,
+                                auto decode) {
     const util::Json* field = obj.find(key);
     if (!field)
       throw BadRequest(std::string("missing required field '") + key + "'");
-    return as_seed(*field, (std::string("'") + key + "'").c_str());
+    return decode(*field, (std::string("'") + key + "'").c_str());
   };
 
-  shard.shard_id = required_u64(body, "shard_id");
-  shard.cell_begin = required_u64(body, "cell_begin");
-  shard.cell_end = required_u64(body, "cell_end");
+  shard.shard_id = required_u64(body, "shard_id", as_index);
+  shard.cell_begin = required_u64(body, "cell_begin", as_index);
+  shard.cell_end = required_u64(body, "cell_end", as_index);
 
   const util::Json* grid = body.find("grid");
   if (!grid) throw BadRequest("missing required field 'grid'");
@@ -145,8 +167,8 @@ exp::ShardSpec decode_shard(const util::Json& body) {
     shard.grid.scenarios.push_back(
         admit([&] { return exp::catalog::scenario(name); }));
   shard.grid.strategies = string_array("strategies");
-  shard.grid.seed_begin = required_u64(*grid, "seed_begin");
-  shard.grid.seed_end = required_u64(*grid, "seed_end");
+  shard.grid.seed_begin = required_u64(*grid, "seed_begin", as_seed);
+  shard.grid.seed_end = required_u64(*grid, "seed_end", as_seed);
   return shard;
 }
 

@@ -118,5 +118,30 @@ TEST(ShardMergeOracle, CorruptedMetricIsMergeCell) {
   EXPECT_TRUE(has_violation(report, "merge-cell")) << report.to_string();
 }
 
+// Scenario cells run on their own platform (cold-start delays, a price
+// path, constrained runtimes): the oracle must rebuild each sampled
+// schedule there, or it would certify a schedule the row never came from.
+// Every cell is sampled, and each rebuilt schedule must also reproduce its
+// row's makespan, VM cost, VMs and BTUs.
+TEST(ShardMergeOracle, ScenarioCellsVerifyOnTheirScenarioPlatform) {
+  const cloud::Platform platform = cloud::Platform::ec2();
+  exp::SweepGridSpec grid;
+  grid.workflows = {"montage", "cstem"};
+  grid.scenarios = {workload::ScenarioKind::cold_start,
+                    workload::ScenarioKind::variable_price,
+                    workload::ScenarioKind::constrained};
+  grid.strategies = {"OneVMperTask-s", "AllParNotExceed-m", "GAIN"};
+  grid.seed_begin = 3;
+  grid.seed_end = 4;
+  const std::vector<exp::SweepRow> merged = exp::run_grid_serial(grid, platform);
+
+  ShardMergeConfig config;
+  config.samples = grid.cell_count();
+  const ShardMergeReport report =
+      check_shard_merge(grid, merged, platform, config);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.cells_verified, grid.cell_count());
+}
+
 }  // namespace
 }  // namespace cloudwf::check

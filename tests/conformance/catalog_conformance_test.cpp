@@ -212,6 +212,16 @@ std::string rank_json_body(const svc::RankRequest& request) {
   return body.dump();
 }
 
+/// Rewrites `seed` in a JSON body as exact digits: the JSON writer prints
+/// integers from 9e15 on in %.12g form, which would round the seed itself.
+void exact_seed_digits(std::string& body, std::uint64_t seed) {
+  const std::string printed = util::Json(static_cast<std::int64_t>(seed)).dump();
+  const std::string exact = std::to_string(seed);
+  for (std::size_t at = body.find(printed); at != std::string::npos;
+       at = body.find(printed, at + exact.size()))
+    body.replace(at, printed.size(), exact);
+}
+
 /// The message of an error answer in either format.
 std::string refusal_of(const svc::HttpResponse& response, bool binary) {
   if (binary) {
@@ -408,6 +418,13 @@ std::vector<Refusal> refusals() {
   out.push_back({"seeds", "5:3", refusal_text([] {
                    catalog::check_seeds(5, 3, catalog::kMaxSeedsPerRequest);
                  })});
+  // One past the largest seed: JSON's exact-integer range ends there, so
+  // every surface refuses it, binary frames included.
+  const std::string past = std::to_string(catalog::kMaxSeed + 1);
+  out.push_back({"seeds", past + ":" + past, refusal_text([] {
+                   catalog::check_seeds(catalog::kMaxSeed + 1,
+                                        catalog::kMaxSeed + 1, 1);
+                 })});
   return out;
 }
 
@@ -430,7 +447,7 @@ std::string cli_refusal(const std::string& args) {
 
 TEST_F(CatalogConformance, EveryRefusalHasOneText) {
   const std::vector<Refusal> cases = refusals();
-  ASSERT_EQ(cases.size(), 2 * dag::science::kAllFamilies.size() + 5);
+  ASSERT_EQ(cases.size(), 2 * dag::science::kAllFamilies.size() + 6);
   for (const Refusal& c : cases) {
     ASSERT_NE(c.text, "<accepted>") << c.field << " " << c.value;
     // A valid question with one field replaced by the invalid value.
@@ -443,9 +460,11 @@ TEST_F(CatalogConformance, EveryRefusalHasOneText) {
     if (c.field == "strategy") strategy = c.value;
     if (c.field == "scenario") scenario = c.value;
     if (c.field == "seeds") {
-      seed_begin = 5;
-      seed_end = 3;
+      const std::size_t colon = c.value.find(':');
+      seed_begin = std::stoull(c.value.substr(0, colon));
+      seed_end = std::stoull(c.value.substr(colon + 1));
     }
+    const bool one_seed = c.field == "seeds" && seed_begin == seed_end;
     const bool named_scenario = c.field == "scenario";
 
     std::vector<std::pair<std::string, std::string>> answers;
@@ -455,6 +474,11 @@ TEST_F(CatalogConformance, EveryRefusalHasOneText) {
                                                          : c.field + "s";
     answers.emplace_back("cloudwf sweep",
                          cli_refusal("sweep --" + sweep_flag + " " + cli_value));
+    if (one_seed)
+      answers.emplace_back(
+          "cloudwf run", cli_refusal("run --workflow montage --strategy GAIN "
+                                     "--seed " +
+                                     std::to_string(seed_begin)));
     if (c.field == "strategy" || c.field == "scenario")
       answers.emplace_back(
           "cloudwf run",
@@ -481,6 +505,7 @@ TEST_F(CatalogConformance, EveryRefusalHasOneText) {
     request.seed_end = seed_end;
     svc::RankRequest rank;
     rank.workflow = workflow;
+    rank.seed = seed_begin;
 
     for (const bool binary : {false, true}) {
       if (binary && named_scenario) continue;  // frames carry a scenario code
@@ -491,6 +516,9 @@ TEST_F(CatalogConformance, EveryRefusalHasOneText) {
       if (named_scenario)
         for (std::string* body : {&json_evaluate, &json_rank, &json_shard})
           body->replace(body->find("\"pareto\""), 8, "\"" + scenario + "\"");
+      if (one_seed)
+        for (std::string* body : {&json_evaluate, &json_rank, &json_shard})
+          exact_seed_digits(*body, seed_begin);
 
       const auto refused = [&](const std::string& target,
                                const std::string& body) {
@@ -505,7 +533,7 @@ TEST_F(CatalogConformance, EveryRefusalHasOneText) {
       answers.emplace_back(
           "/v1/shard" + format,
           refused("/v1/shard", binary ? svc::encode_frame(shard) : json_shard));
-      if (c.field == "workflow" || named_scenario)
+      if (c.field == "workflow" || named_scenario || one_seed)
         answers.emplace_back(
             "/v1/rank" + format,
             refused("/v1/rank", binary ? svc::encode_frame(rank) : json_rank));

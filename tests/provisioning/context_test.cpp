@@ -108,5 +108,50 @@ TEST(PlacementContext, LargestPredecessorTieBreaksOnLowerId) {
   EXPECT_EQ(ctx.largest_predecessor(t), p1);
 }
 
+// A surviving AllPar candidate whose busy time stays put while its paid
+// window moves: a near-zero-work task of another level lands on it after
+// its window has closed, so the VM opens a new session and can host a task
+// that its old window could not. The candidate index must re-key the VM
+// from that zero-growth append, or the NotExceed query would skip it.
+TEST(PlacementContext, ParallelReuseFollowsAWindowMovedByAZeroGrowthAppend) {
+  struct ScanVerification {
+    ScanVerification() { PlacementContext::set_scan_verification(true); }
+    ~ScanVerification() { PlacementContext::set_scan_verification(false); }
+  } const verify;
+  dag::Workflow wf("window");
+  const dag::TaskId e0 = wf.add_task("e0", 100.0, 0.0);
+  const dag::TaskId e1 = wf.add_task("e1", 4000.0, 0.0);
+  const dag::TaskId z = wf.add_task("z", 1e-15, 0.0);  // level 0 too
+  const dag::TaskId t1 = wf.add_task("t1", 3400.0, 0.0);
+  const dag::TaskId t2 = wf.add_task("t2", 3400.0, 0.0);
+  wf.add_edge(e1, t1, 0.0);
+  wf.add_edge(e1, t2, 0.0);
+  const cloud::Platform platform = cloud::Platform::ec2();
+  sim::Schedule schedule(wf);
+  PlacementContext ctx(wf, schedule, platform, InstanceSize::small);
+  const cloud::VmPool& pool = ctx.pool();  // const: keeps the epoch
+
+  const cloud::VmId v0 = schedule.rent(InstanceSize::small, 0);
+  const cloud::VmId v1 = schedule.rent(InstanceSize::small, 0);
+  schedule.assign(e0, v0, 0.0, 100.0);    // paid window [0, 3600)
+  schedule.assign(e1, v1, 0.0, 4000.0);   // paid window [0, 7200)
+
+  // t1 is ready at 4000: v1 would end at 7400 (a 3rd BTU) and v0's window
+  // has closed (a new session). The query builds the level-1 snapshot.
+  EXPECT_EQ(ctx.best_parallel_reuse(t1, /*exceed=*/false), cloud::kInvalidVm);
+  const cloud::VmId v2 = schedule.rent(InstanceSize::small, 0);
+  schedule.assign(t1, v2, 4000.0, 7400.0);  // hosts level 1 from now on
+
+  // z starts v0's second session at 5000 without growing its busy time.
+  const util::Seconds busy = pool.vm(v0).busy_time();
+  schedule.assign(z, v0, 5000.0, 5000.0 + ctx.exec_time(z, InstanceSize::small));
+  ASSERT_EQ(pool.vm(v0).busy_time(), busy);
+  ASSERT_EQ(pool.vm(v0).session_count(), 2u);
+  ASSERT_EQ(pool.vm(v0).last_session().paid_end(), 8600.0);
+
+  // t2 fits v0's new window: [5000, 8400) ends before 8600.
+  EXPECT_EQ(ctx.best_parallel_reuse(t2, /*exceed=*/false), v0);
+}
+
 }  // namespace
 }  // namespace cloudwf::provisioning

@@ -188,8 +188,10 @@ dag::Workflow materialize_or_keep(const exp::ExperimentRunner& runner,
 
 exp::ExperimentRunner make_runner(const Args& args) {
   workload::ScenarioConfig cfg;
-  if (const auto seed = args.option("seed"))
+  if (const auto seed = args.option("seed")) {
     cfg.seed = util::parse_u64(*seed, "--seed");
+    exp::catalog::check_seeds(cfg.seed, cfg.seed, 1);
+  }
   if (const auto f = args.option("deadline-factor"))
     cfg.deadline_factor = util::parse_double(*f, "--deadline-factor", 1e-6, 1e6);
   if (const auto f = args.option("budget-factor"))
