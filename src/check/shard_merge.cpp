@@ -118,7 +118,7 @@ ShardMergeReport check_shard_merge(const exp::SweepGridSpec& grid,
     cfg.seed = cell.seed;
     const exp::ExperimentRunner runner(platform, cfg);
     const dag::Workflow materialized = runner.materialize(
-        exp::catalog::workflow(cell.workflow, exp::catalog::kMaxServedTasks),
+        *exp::catalog::workflow(cell.workflow, exp::catalog::kMaxServedTasks),
         cell.scenario);
     const cloud::Platform env = runner.scenario_platform(cell.scenario);
     const scheduling::Strategy& strategy = exp::catalog::strategy(cell.strategy);

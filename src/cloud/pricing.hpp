@@ -10,8 +10,8 @@
 // they rent, which is exactly the axis the variable-price scenario studies.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cloud/instance.hpp"
@@ -35,7 +35,8 @@ struct PriceTrajectoryModel {
 /// Samples ceil(horizon/tick)+1 multiplier points of the mean-reverting
 /// log-space walk (Box-Muller normals from `rng`), clamped into
 /// [floor_fraction, cap_fraction]. This is the exact process
-/// SpotPriceSeries prices with; it lives here so both consumers share one
+/// SpotPriceSeries prices with, and each PriceSchedule path draws its points
+/// with the same step; it lives here so every consumer shares one
 /// implementation. Throws std::invalid_argument on bad parameters.
 [[nodiscard]] std::vector<double> sample_price_fractions(
     double mean_fraction, double reversion, double volatility,
@@ -46,10 +47,18 @@ struct PriceTrajectoryModel {
 /// constant on tick boundaries and clamped into the horizon outside it.
 /// Deterministic per (model, horizon, seed): each size draws from its own
 /// splitmix-derived substream.
+///
+/// Paths are drawn lazily: reading a tick draws that size's walk up to it,
+/// so a schedule pays only for the ticks its bills read, and every drawn
+/// prefix is bitwise the eager sampler's path. Reads are thread-safe; a
+/// tick already drawn is read without a lock.
 class PriceSchedule {
  public:
   PriceSchedule(const PriceTrajectoryModel& model, util::Seconds horizon,
                 std::uint64_t seed);
+  PriceSchedule(PriceSchedule&&) noexcept;
+  PriceSchedule& operator=(PriceSchedule&&) noexcept;
+  ~PriceSchedule();
 
   [[nodiscard]] const PriceTrajectoryModel& model() const noexcept {
     return model_;
@@ -62,10 +71,16 @@ class PriceSchedule {
   [[nodiscard]] double fraction_at(InstanceSize size, util::Seconds t) const;
 
  private:
+  struct Path;
+  struct Paths;
+  /// Draws `path` through `tick` under its lock and returns that point.
+  [[nodiscard]] double draw_through(Path& path, std::size_t tick) const;
+
   PriceTrajectoryModel model_;
   util::Seconds horizon_;
   std::uint64_t seed_;
-  std::array<std::vector<double>, kSizeCount> fractions_;
+  std::size_t points_;  ///< ticks in the horizon: ceil(horizon / tick) + 1
+  std::unique_ptr<Paths> paths_;
 };
 
 }  // namespace cloudwf::cloud

@@ -128,17 +128,32 @@ const StrategyTable& table() {
   return built;
 }
 
+using ServedWorkflows =
+    std::array<std::shared_ptr<const dag::Workflow>, kWorkflowNames.size()>;
+
+const ServedWorkflows& served_workflows() {
+  static const ServedWorkflows built = [] {
+    ServedWorkflows out;
+    for (std::size_t i = 0; i < kBuilders.size(); ++i)
+      out[i] = std::make_shared<const dag::Workflow>(kBuilders[i]());
+    return out;
+  }();
+  return built;
+}
+
 }  // namespace
 
 void check_workflow(std::string_view name, std::uint64_t max_tasks) {
   (void)resolve_workflow(name, max_tasks);
 }
 
-dag::Workflow workflow(std::string_view name, std::uint64_t max_tasks) {
+std::shared_ptr<const dag::Workflow> workflow(std::string_view name,
+                                              std::uint64_t max_tasks) {
   const WorkflowName resolved = resolve_workflow(name, max_tasks);
   if (resolved.served < kWorkflowNames.size())
-    return kBuilders[resolved.served]();
-  return dag::science::scaled(resolved.family, resolved.tasks);
+    return served_workflows()[resolved.served];
+  return std::make_shared<const dag::Workflow>(
+      dag::science::scaled(resolved.family, resolved.tasks));
 }
 
 const std::vector<scheduling::Strategy>& strategies() {

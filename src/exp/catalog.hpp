@@ -19,6 +19,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -52,9 +53,12 @@ inline constexpr std::array<std::string_view, 8> kWorkflowNames = {
 /// 1 <= N <= max_tasks. Builds nothing, so it is cheap for any N.
 void check_workflow(std::string_view name, std::uint64_t max_tasks);
 
-/// The structure `name` names, under check_workflow's rules.
-[[nodiscard]] dag::Workflow workflow(std::string_view name,
-                                     std::uint64_t max_tasks);
+/// The structure `name` names, under check_workflow's rules. The eight
+/// served workflows are built once per process and shared by every caller
+/// and thread; "family:N" is built on each call (its key space is too large
+/// to keep unbounded).
+[[nodiscard]] std::shared_ptr<const dag::Workflow> workflow(
+    std::string_view name, std::uint64_t max_tasks);
 
 /// Every strategy the catalog accepts under its canonical label: the Fig. 4
 /// legend (scheduling::paper_strategies() order), the five xlarge series,

@@ -49,7 +49,7 @@ RunResult ExperimentRunner::run_one_on(
     const std::string& workflow_name, workload::ScenarioKind kind,
     const cloud::Platform& platform,
     const sim::ScheduleMetrics& reference) const {
-  obs::PhaseScope phase("run: " + strategy.label);
+  obs::PhaseScope phase("run: ", strategy.label);
   const sim::Schedule schedule = strategy.scheduler->run(materialized, platform);
   sim::validate_or_throw(materialized, schedule, platform);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 
@@ -106,7 +107,7 @@ std::vector<ShardSpec> partition_grid(const SweepGridSpec& spec,
 }
 
 dag::Workflow grid_workflow(const std::string& name) {
-  return catalog::workflow(name, catalog::kMaxServedTasks);
+  return *catalog::workflow(name, catalog::kMaxServedTasks);
 }
 
 SweepRow sweep_row(const RunResult& result, std::uint64_t seed) {
@@ -140,7 +141,7 @@ std::vector<SweepRow> run_shard(const ShardSpec& shard,
   strategies.reserve(shard.grid.strategies.size());
   for (const std::string& label : shard.grid.strategies)
     strategies.push_back(catalog::strategy(label));
-  std::map<std::string, dag::Workflow> structures;
+  std::map<std::string, std::shared_ptr<const dag::Workflow>> structures;
 
   std::vector<SweepRow> rows;
   rows.reserve(static_cast<std::size_t>(shard.cell_count()));
@@ -173,7 +174,7 @@ std::vector<SweepRow> run_shard(const ShardSpec& shard,
             static_cast<std::ptrdiff_t>(first.strategy_index + group_end -
                                         index));
     const std::vector<RunResult> results = runner.run_many(
-        subset, it->second, first.scenario, ParallelConfig::serial());
+        subset, *it->second, first.scenario, ParallelConfig::serial());
     for (const RunResult& r : results) rows.push_back(sweep_row(r, first.seed));
     index = group_end;
   }

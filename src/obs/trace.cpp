@@ -1,12 +1,14 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 
 namespace cloudwf::obs {
 
 namespace {
 
-// Counter slots (indices into TraceRecorder::counters_).
+// Counter slots (indices into a sink's counters).
 enum CounterSlot : std::size_t {
   kEventsRecorded = 0,
   kEventsDropped,
@@ -20,7 +22,7 @@ enum CounterSlot : std::size_t {
   kUpgradesAccepted,
   kUpgradesRejected,
   kMaxQueueDepth,
-  kCounterSlots,  // == 12; counters_ has one spare slot
+  kCounterSlots,
 };
 
 std::atomic<std::uint64_t> g_generation{1};
@@ -65,20 +67,62 @@ std::string_view category_of(EventKind k) noexcept {
   return "unknown";
 }
 
-/// One thread's ring buffer. Only its owning thread writes; drain() reads
-/// under the registry mutex after the writer quiesced (drains happen at
-/// barriers — end of run / end of job — not concurrently with recording
-/// on the same sink; `count` is atomic so a racy drain still reads a
-/// consistent prefix length).
+/// One thread's ring buffer, counters and phase stats. Only its owning
+/// thread writes: the ring and counters without read-modify-write (relaxed
+/// load + store), the phase map under `phase_mutex`, which only readers
+/// contend for. drain() reads the ring under the registry mutex after the
+/// writer quiesced (drains happen at barriers — end of run / end of job —
+/// not concurrently with recording on the same sink; `count` is atomic so a
+/// racy drain still reads a consistent prefix length). counters() and
+/// phase_stats() may run at any time.
 struct TraceRecorder::Sink {
   explicit Sink(std::size_t capacity) : ring(capacity) {}
 
   std::vector<TraceEvent> ring;
   std::atomic<std::size_t> count{0};  ///< total events ever written
+  std::array<std::atomic<std::uint64_t>, kCounterSlots> counters{};
+  std::mutex phase_mutex;
+  std::map<std::string, PhaseStat, std::less<>> phases;
+
+  void add(CounterSlot slot, std::uint64_t n) noexcept {
+    std::atomic<std::uint64_t>& c = counters[slot];
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+
+  /// The counter updates of one event (see TraceRecorder::count).
+  void tally(EventKind kind, bool flag, double value) noexcept {
+    add(kEventsRecorded, 1);
+    switch (kind) {
+      case EventKind::vm_rent:
+        add(kVmsRented, 1);
+        break;
+      case EventKind::task_place: {
+        add(kTasksPlaced, 1);
+        if (flag) add(kVmsReused, 1);
+        const auto delta = static_cast<std::uint64_t>(value);
+        if (delta > 0) {
+          add(kBtusAdded, delta);
+          if (flag) add(kBtuExtends, 1);
+        }
+        break;
+      }
+      case EventKind::task_finish:
+        add(kSimEvents, 1);
+        break;
+      case EventKind::transfer:
+        add(kTransfers, 1);
+        break;
+      case EventKind::upgrade:
+        add(flag ? kUpgradesAccepted : kUpgradesRejected, 1);
+        break;
+      default:
+        break;
+    }
+  }
 };
 
 TraceRecorder::TraceRecorder(std::size_t ring_capacity)
-    : ring_capacity_(ring_capacity == 0 ? 1 : ring_capacity),
+    : ring_capacity_(ring_capacity),
       generation_(g_generation.fetch_add(1, std::memory_order_relaxed)),
       birth_(std::chrono::steady_clock::now()) {}
 
@@ -99,62 +143,42 @@ TraceRecorder::Sink& TraceRecorder::sink_for_this_thread() {
   return sink;
 }
 
+void TraceRecorder::count(EventKind kind, bool flag, double value) {
+  sink_for_this_thread().tally(kind, flag, value);
+}
+
 void TraceRecorder::record(TraceEvent ev) {
+  const bool flag =
+      (ev.kind == EventKind::task_place && ev.detail == "reuse") ||
+      (ev.kind == EventKind::upgrade && ev.detail.rfind("accept", 0) == 0);
   Sink& sink = sink_for_this_thread();
+  sink.tally(ev.kind, flag, ev.value);
+  if (ring_capacity_ == 0) return;
+
   const std::size_t n = sink.count.load(std::memory_order_relaxed);
-  if (n >= ring_capacity_)
-    counters_[kEventsDropped].fetch_add(1, std::memory_order_relaxed);
-  counters_[kEventsRecorded].fetch_add(1, std::memory_order_relaxed);
-
-  switch (ev.kind) {
-    case EventKind::vm_rent:
-      counters_[kVmsRented].fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EventKind::task_place: {
-      counters_[kTasksPlaced].fetch_add(1, std::memory_order_relaxed);
-      const bool reused = ev.detail == "reuse";
-      if (reused) counters_[kVmsReused].fetch_add(1, std::memory_order_relaxed);
-      const auto delta = static_cast<std::uint64_t>(ev.value);
-      if (delta > 0) {
-        counters_[kBtusAdded].fetch_add(delta, std::memory_order_relaxed);
-        if (reused)
-          counters_[kBtuExtends].fetch_add(1, std::memory_order_relaxed);
-      }
-      break;
-    }
-    case EventKind::task_finish:
-      counters_[kSimEvents].fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EventKind::transfer:
-      counters_[kTransfers].fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EventKind::upgrade:
-      counters_[ev.detail.rfind("accept", 0) == 0 ? kUpgradesAccepted
-                                                  : kUpgradesRejected]
-          .fetch_add(1, std::memory_order_relaxed);
-      break;
-    default:
-      break;
-  }
-
+  if (n >= ring_capacity_) sink.add(kEventsDropped, 1);
   sink.ring[n % ring_capacity_] = std::move(ev);
   sink.count.store(n + 1, std::memory_order_release);
 }
 
-void TraceRecorder::note_queue_depth(std::size_t depth) noexcept {
+void TraceRecorder::note_queue_depth(std::size_t depth) {
+  std::atomic<std::uint64_t>& peak =
+      sink_for_this_thread().counters[kMaxQueueDepth];
   const auto d = static_cast<std::uint64_t>(depth);
-  std::uint64_t cur = counters_[kMaxQueueDepth].load(std::memory_order_relaxed);
-  while (cur < d && !counters_[kMaxQueueDepth].compare_exchange_weak(
-                        cur, d, std::memory_order_relaxed)) {
-  }
+  if (d > peak.load(std::memory_order_relaxed))
+    peak.store(d, std::memory_order_relaxed);
 }
 
 void TraceRecorder::record_phase(std::string_view name, double begin_s,
                                  double end_s) {
+  const double dur = end_s - begin_s;
+  Sink& sink = sink_for_this_thread();
   {
-    std::lock_guard lock(phase_mutex_);
-    PhaseStat& stat = phases_[std::string(name)];
-    const double dur = end_s - begin_s;
+    std::lock_guard lock(sink.phase_mutex);
+    auto it = sink.phases.find(name);
+    if (it == sink.phases.end())
+      it = sink.phases.emplace(std::string(name), PhaseStat{}).first;
+    PhaseStat& stat = it->second;
     if (stat.count == 0) {
       stat.min = dur;
       stat.max = dur;
@@ -165,8 +189,10 @@ void TraceRecorder::record_phase(std::string_view name, double begin_s,
     ++stat.count;
     stat.total += dur;
   }
-  record({begin_s, end_s - begin_s, EventKind::phase, kNoId, kNoId, 0,
-          std::string(name)});
+  if (ring_capacity_ == 0)
+    sink.tally(EventKind::phase, false, 0);
+  else
+    record({begin_s, dur, EventKind::phase, kNoId, kNoId, 0, std::string(name)});
 }
 
 std::vector<TraceEvent> TraceRecorder::drain() const {
@@ -202,28 +228,51 @@ std::vector<TraceEvent> TraceRecorder::drain() const {
   }
 }
 
-CounterSnapshot TraceRecorder::counters() const noexcept {
+CounterSnapshot TraceRecorder::counters() const {
+  std::array<std::uint64_t, kCounterSlots> merged{};
+  {
+    std::lock_guard lock(registry_mutex_);
+    for (const auto& sink : sinks_)
+      for (std::size_t i = 0; i < kCounterSlots; ++i) {
+        const std::uint64_t v =
+            sink->counters[i].load(std::memory_order_relaxed);
+        merged[i] = i == kMaxQueueDepth ? std::max(merged[i], v) : merged[i] + v;
+      }
+  }
   CounterSnapshot s;
-  s.events_recorded = counters_[kEventsRecorded].load(std::memory_order_relaxed);
-  s.events_dropped = counters_[kEventsDropped].load(std::memory_order_relaxed);
-  s.vms_rented = counters_[kVmsRented].load(std::memory_order_relaxed);
-  s.vms_reused = counters_[kVmsReused].load(std::memory_order_relaxed);
-  s.btu_extends = counters_[kBtuExtends].load(std::memory_order_relaxed);
-  s.btus_added = counters_[kBtusAdded].load(std::memory_order_relaxed);
-  s.tasks_placed = counters_[kTasksPlaced].load(std::memory_order_relaxed);
-  s.sim_events = counters_[kSimEvents].load(std::memory_order_relaxed);
-  s.transfers = counters_[kTransfers].load(std::memory_order_relaxed);
-  s.upgrades_accepted =
-      counters_[kUpgradesAccepted].load(std::memory_order_relaxed);
-  s.upgrades_rejected =
-      counters_[kUpgradesRejected].load(std::memory_order_relaxed);
-  s.max_queue_depth = counters_[kMaxQueueDepth].load(std::memory_order_relaxed);
+  s.events_recorded = merged[kEventsRecorded];
+  s.events_dropped = merged[kEventsDropped];
+  s.vms_rented = merged[kVmsRented];
+  s.vms_reused = merged[kVmsReused];
+  s.btu_extends = merged[kBtuExtends];
+  s.btus_added = merged[kBtusAdded];
+  s.tasks_placed = merged[kTasksPlaced];
+  s.sim_events = merged[kSimEvents];
+  s.transfers = merged[kTransfers];
+  s.upgrades_accepted = merged[kUpgradesAccepted];
+  s.upgrades_rejected = merged[kUpgradesRejected];
+  s.max_queue_depth = merged[kMaxQueueDepth];
   return s;
 }
 
 std::map<std::string, PhaseStat> TraceRecorder::phase_stats() const {
-  std::lock_guard lock(phase_mutex_);
-  return phases_;
+  std::map<std::string, PhaseStat> merged;
+  std::lock_guard lock(registry_mutex_);
+  for (const auto& sink : sinks_) {
+    std::lock_guard phase_lock(sink->phase_mutex);
+    for (const auto& [name, stat] : sink->phases) {
+      PhaseStat& into = merged[name];
+      if (into.count == 0) {
+        into = stat;
+        continue;
+      }
+      into.count += stat.count;
+      into.total += stat.total;
+      into.min = std::min(into.min, stat.min);
+      into.max = std::max(into.max, stat.max);
+    }
+  }
+  return merged;
 }
 
 double TraceRecorder::elapsed() const noexcept {
@@ -257,6 +306,14 @@ PhaseScope::PhaseScope(std::string_view name) noexcept
   if (recorder_ == nullptr) return;
   begin_ = recorder_->elapsed();
   name_ = name;
+}
+
+PhaseScope::PhaseScope(std::string_view prefix, std::string_view label) noexcept
+    : recorder_(current_recorder()) {
+  if (recorder_ == nullptr) return;
+  begin_ = recorder_->elapsed();
+  name_.reserve(prefix.size() + label.size());
+  name_.append(prefix).append(label);
 }
 
 PhaseScope::~PhaseScope() {

@@ -4,7 +4,9 @@
 // (rent/reuse/BTU decisions), the schedulers (placements, ready sets,
 // upgrade moves) and the event-driven replay (boot/start/finish/transfer),
 // each with a timestamp, a category and a structured payload, plus
-// lightweight counters and per-phase wall-clock timings.
+// lightweight counters and per-phase wall-clock timings. A recorder built
+// with no ring capacity keeps only the counters and phase stats: the
+// service's /stats needs nothing more, so it never pays for payloads.
 //
 // Design constraints, in order:
 //
@@ -16,18 +18,18 @@
 //     constructed. bench_trace_overhead pins this under 2% on the Fig. 4
 //     sweep.
 //  2. **No serialization across sweep workers.** Each recording thread gets
-//     its own fixed-capacity ring-buffer sink (registered once under a
-//     mutex, then written lock-free by its owner); counters are relaxed
-//     atomics. The PR-1 parallel sweep engine can run with one shared
-//     global recorder without its workers contending on a lock.
+//     its own sink (registered once under a mutex): a fixed-capacity event
+//     ring, the counters and the phase stats. The owner writes its ring and
+//     counters without read-modify-write; its phase map sits behind a mutex
+//     only readers ever contend for. Readers merge every sink. The parallel
+//     sweep engine (exp/parallel.hpp) can run with one shared global
+//     recorder without its workers contending on a lock.
 //  3. **Deterministic drains.** drain() merges the per-thread rings with a
 //     stable sort on (timestamp, sink registration order, per-sink
 //     sequence), so a single-threaded run replays to an identical stream
 //     every time — the golden trace test depends on this.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -35,6 +37,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace cloudwf::obs {
@@ -106,19 +110,29 @@ class TraceRecorder {
  public:
   /// `ring_capacity` bounds each recording thread's buffered events; once
   /// full the oldest event is overwritten (and counted as dropped), keeping
-  /// memory bounded on arbitrarily long runs.
+  /// memory bounded on arbitrarily long runs. 0 keeps no events at all:
+  /// the counters and phase stats still fill, drain() stays empty and no
+  /// event is ever dropped.
   explicit TraceRecorder(std::size_t ring_capacity = 1 << 16);
   ~TraceRecorder();
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
+  /// False for a count-only recorder: emit sites then build no payload.
+  [[nodiscard]] bool keeps_events() const noexcept { return ring_capacity_ != 0; }
+
   /// Appends `ev` to the calling thread's ring and updates the counters.
   /// Lock-free after the thread's first call (sink registration).
   void record(TraceEvent ev);
 
+  /// Updates the counters exactly as record() would for an event of `kind`,
+  /// keeping nothing. `flag` is task_place's reuse flag or upgrade's
+  /// acceptance; `value` is the event's value (task_place: BTUs added).
+  void count(EventKind kind, bool flag, double value);
+
   /// Records the replay event-queue depth high-water mark (counter only).
-  void note_queue_depth(std::size_t depth) noexcept;
+  void note_queue_depth(std::size_t depth);
 
   /// Folds a finished phase span into the per-phase stats and records a
   /// phase event (ts = seconds since recorder creation).
@@ -128,9 +142,10 @@ class TraceRecorder {
   /// (ts, sink registration order, per-sink sequence). Non-destructive.
   [[nodiscard]] std::vector<TraceEvent> drain() const;
 
-  [[nodiscard]] CounterSnapshot counters() const noexcept;
+  /// Every thread's counters, summed (max_queue_depth: the maximum).
+  [[nodiscard]] CounterSnapshot counters() const;
 
-  /// Per-phase wall-clock stats, keyed by phase name.
+  /// Per-phase wall-clock stats, keyed by phase name, merged over threads.
   [[nodiscard]] std::map<std::string, PhaseStat> phase_stats() const;
 
   /// Wall-clock seconds since this recorder was constructed.
@@ -150,11 +165,6 @@ class TraceRecorder {
 
   mutable std::mutex registry_mutex_;
   std::vector<std::unique_ptr<Sink>> sinks_;
-
-  std::array<std::atomic<std::uint64_t>, 13> counters_{};
-
-  mutable std::mutex phase_mutex_;
-  std::map<std::string, PhaseStat> phases_;
 };
 
 /// Installs/clears the process-wide recorder every thread falls back to
@@ -204,6 +214,9 @@ class SuppressRecording {
 class PhaseScope {
  public:
   explicit PhaseScope(std::string_view name) noexcept;
+  /// The phase named `prefix` + `label`, joined only when a recorder is
+  /// installed.
+  PhaseScope(std::string_view prefix, std::string_view label) noexcept;
   ~PhaseScope();
 
   PhaseScope(const PhaseScope&) = delete;
@@ -217,66 +230,102 @@ class PhaseScope {
 
 // ---------------------------------------------------------------------------
 // Emit helpers — the instrumentation surface. Each checks for a recorder
-// FIRST and only then builds the payload, so a disabled call site costs a
-// pointer load and a branch and never touches the arguments.
+// FIRST, and builds the payload only when that recorder keeps events, so a
+// disabled call site costs a pointer load and a branch and never touches
+// the arguments, and a count-only recorder never sees a payload.
 
-inline void emit_vm_rent(std::uint64_t vm, double ts, std::string_view detail) {
-  if (TraceRecorder* r = current_recorder())
-    r->record({ts, 0, EventKind::vm_rent, kNoId, vm, 0, std::string(detail)});
+/// Records the event `make()` returns when the current recorder keeps
+/// events; otherwise only counts it (see TraceRecorder::count).
+template <class Make>
+inline void emit_event(EventKind kind, bool flag, double value, Make&& make) {
+  if (TraceRecorder* r = current_recorder()) {
+    if (r->keeps_events())
+      r->record(std::forward<Make>(make)());
+    else
+      r->count(kind, flag, value);
+  }
+}
+
+/// A detail argument's text: the text itself, or what a callable returns
+/// (call sites that build their text pass a callable, run only when kept).
+template <class Detail>
+[[nodiscard]] std::string detail_text(Detail&& detail) {
+  if constexpr (std::is_invocable_v<Detail>)
+    return std::forward<Detail>(detail)();
+  else
+    return std::string(std::string_view(detail));
+}
+
+template <class Detail>
+inline void emit_vm_rent(std::uint64_t vm, double ts, Detail&& detail) {
+  emit_event(EventKind::vm_rent, false, 0, [&] {
+    return TraceEvent{ts, 0, EventKind::vm_rent, kNoId, vm, 0,
+                      detail_text(std::forward<Detail>(detail))};
+  });
 }
 
 /// `reused` marks a placement on a VM that already held a task; `btu_delta`
 /// is how many BTUs the placement added to the VM's sessions.
 inline void emit_task_place(std::uint64_t task, std::uint64_t vm, double start,
                             double end, bool reused, double btu_delta) {
-  if (TraceRecorder* r = current_recorder())
-    r->record({start, end - start, EventKind::task_place, task, vm, btu_delta,
-               reused ? "reuse" : "fresh"});
+  emit_event(EventKind::task_place, reused, btu_delta, [&] {
+    return TraceEvent{start, end - start, EventKind::task_place, task, vm,
+                      btu_delta, reused ? "reuse" : "fresh"};
+  });
 }
 
 inline void emit_decision(std::uint64_t task, std::uint64_t vm, double ts,
                           std::string_view detail) {
-  if (TraceRecorder* r = current_recorder())
-    r->record({ts, 0, EventKind::decision, task, vm, 0, std::string(detail)});
+  emit_event(EventKind::decision, false, 0, [&] {
+    return TraceEvent{ts, 0, EventKind::decision, task, vm, 0,
+                      std::string(detail)};
+  });
 }
 
-inline void emit_ready_set(std::size_t size, std::string_view detail) {
-  if (TraceRecorder* r = current_recorder())
-    r->record({0, 0, EventKind::ready_set, kNoId, kNoId,
-               static_cast<double>(size), std::string(detail)});
+template <class Detail>
+inline void emit_ready_set(std::size_t size, Detail&& detail) {
+  emit_event(EventKind::ready_set, false, 0, [&] {
+    return TraceEvent{0, 0, EventKind::ready_set, kNoId, kNoId,
+                      static_cast<double>(size),
+                      detail_text(std::forward<Detail>(detail))};
+  });
 }
 
 inline void emit_upgrade(std::uint64_t task, bool accepted, double value,
                          std::string_view detail) {
-  if (TraceRecorder* r = current_recorder())
-    r->record({0, 0, EventKind::upgrade, task, kNoId, value,
-               accepted ? std::string("accept: ") + std::string(detail)
-                        : std::string("reject: ") + std::string(detail)});
+  emit_event(EventKind::upgrade, accepted, value, [&] {
+    return TraceEvent{0, 0, EventKind::upgrade, task, kNoId, value,
+                      (accepted ? "accept: " : "reject: ") + std::string(detail)};
+  });
 }
 
 inline void emit_vm_boot(std::uint64_t vm, double boot_time) {
-  if (TraceRecorder* r = current_recorder())
-    r->record({0, boot_time, EventKind::vm_boot, kNoId, vm, 0, {}});
+  emit_event(EventKind::vm_boot, false, 0, [&] {
+    return TraceEvent{0, boot_time, EventKind::vm_boot, kNoId, vm, 0, {}};
+  });
 }
 
 inline void emit_task_start(std::uint64_t task, std::uint64_t vm, double ts) {
-  if (TraceRecorder* r = current_recorder())
-    r->record({ts, 0, EventKind::task_start, task, vm, 0, {}});
+  emit_event(EventKind::task_start, false, 0, [&] {
+    return TraceEvent{ts, 0, EventKind::task_start, task, vm, 0, {}};
+  });
 }
 
 inline void emit_task_finish(std::uint64_t task, std::uint64_t vm, double ts) {
-  if (TraceRecorder* r = current_recorder())
-    r->record({ts, 0, EventKind::task_finish, task, vm, 0, {}});
+  emit_event(EventKind::task_finish, false, 0, [&] {
+    return TraceEvent{ts, 0, EventKind::task_finish, task, vm, 0, {}};
+  });
 }
 
 inline void emit_transfer(std::uint64_t from_task, std::uint64_t to_task,
                           double ts, double dur, double gigabytes) {
-  if (TraceRecorder* r = current_recorder())
-    r->record({ts, dur, EventKind::transfer, to_task, kNoId, gigabytes,
-               "from task " + std::to_string(from_task)});
+  emit_event(EventKind::transfer, false, gigabytes, [&] {
+    return TraceEvent{ts, dur, EventKind::transfer, to_task, kNoId, gigabytes,
+                      "from task " + std::to_string(from_task)};
+  });
 }
 
-inline void note_queue_depth(std::size_t depth) noexcept {
+inline void note_queue_depth(std::size_t depth) {
   if (TraceRecorder* r = current_recorder()) r->note_queue_depth(depth);
 }
 

@@ -14,7 +14,6 @@
 namespace cloudwf::provisioning {
 
 namespace {
-constexpr std::size_t kSizePairs = cloud::kSizeCount * cloud::kSizeCount;
 constexpr std::size_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 constexpr util::Seconds kInf = std::numeric_limits<util::Seconds>::infinity();
 
@@ -37,9 +36,7 @@ PlacementContext::PlacementContext(const dag::Workflow& wf, sim::Schedule& sched
       platform_(&platform),
       structure_(wf.structure()),
       vm_size_(vm_size),
-      region_(platform.default_region_id()) {
-  transfer_.assign(structure_->edge_count() * kSizePairs, -1.0);
-}
+      region_(platform.default_region_id()) {}
 
 const std::vector<util::Seconds>& PlacementContext::fill_exec_table(
     cloud::InstanceSize s) const {
@@ -50,24 +47,6 @@ const std::vector<util::Seconds>& PlacementContext::fill_exec_table(
   // which would not be bit-identical.
   for (util::Seconds w : works) table.push_back(cloud::exec_time(w, s));
   return table;
-}
-
-util::Seconds PlacementContext::transfer_cached(std::size_t edge_slot,
-                                                util::Gigabytes data,
-                                                const cloud::Vm& from,
-                                                const cloud::Vm& to) const {
-  // Same-VM transfers are exactly zero (TransferModel::time's first case).
-  if (from.id() == to.id()) return 0.0;
-  // The memo covers the overwhelmingly common default-region pair; anything
-  // exotic falls through to the model.
-  if (from.region() != region_ || to.region() != region_)
-    return platform_->transfer_time(data, from, to);
-  util::Seconds& slot =
-      transfer_[edge_slot * kSizePairs +
-                cloud::index_of(from.size()) * cloud::kSizeCount +
-                cloud::index_of(to.size())];
-  if (slot < 0) slot = platform_->transfer_time(data, from, to);
-  return slot;
 }
 
 void PlacementContext::refresh_occupancy(const cloud::Vm& vm) const {
@@ -108,7 +87,6 @@ util::Seconds PlacementContext::est_on(dag::TaskId t, const cloud::Vm& vm) const
                                platform_->boot_delay(vm.size(), vm.region()));
   const std::span<const dag::TaskId> preds = structure_->preds(t);
   const std::span<const util::Gigabytes> data = structure_->pred_data(t);
-  const std::size_t slot_base = structure_->pred_edge_slot(t);
   const sim::Schedule& schedule = *schedule_;
   const cloud::VmPool& vms = pool();
   for (std::size_t i = 0; i < preds.size(); ++i) {
@@ -118,7 +96,7 @@ util::Seconds PlacementContext::est_on(dag::TaskId t, const cloud::Vm& vm) const
                              "' not yet assigned");
     const sim::Assignment& pa = schedule.assignment(p);
     const util::Seconds transfer =
-        transfer_cached(slot_base + i, data[i], vms.vm(pa.vm), vm);
+        platform_->transfer_time(data[i], vms.vm(pa.vm), vm);
     est = std::max(est, pa.end + transfer);
   }
   return est;
@@ -152,6 +130,10 @@ std::optional<dag::TaskId> PlacementContext::largest_predecessor(
 
 void PlacementContext::set_scan_verification(bool on) noexcept {
   g_verify_scan.store(on, std::memory_order_relaxed);
+}
+
+bool PlacementContext::scan_verification() noexcept {
+  return g_verify_scan.load(std::memory_order_relaxed);
 }
 
 bool PlacementContext::reuse_is_admissible(dag::TaskId t, const cloud::Vm& vm,
@@ -326,7 +308,7 @@ cloud::VmId PlacementContext::best_parallel_reuse(dag::TaskId t, bool exceed) {
   }
   if (examined != 0) obs::add_work(obs::Work::reuse_vms_examined, examined);
 
-  if (g_verify_scan.load(std::memory_order_relaxed)) {
+  if (scan_verification()) {
     const cloud::VmId reference = linear_parallel_reuse(t, exceed);
     if (reference != winner)
       throw std::logic_error(

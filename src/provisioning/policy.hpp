@@ -52,10 +52,9 @@ enum class ProvisioningKind : std::uint8_t {
 /// Flat-core hot path: the context shares the workflow's StructureCache
 /// (levels, CSR adjacency with resolved edge data, largest predecessors)
 /// instead of recomputing them per run, memoizes per-(task,size) execution
-/// times and per-(edge, size-pair) transfer times, and answers
-/// vm_hosts_level_of from an incrementally maintained per-VM level
-/// occupancy instead of scanning every placement. All answers are
-/// bit-identical to the direct computations they replace.
+/// times, and answers vm_hosts_level_of from an incrementally maintained
+/// per-VM level occupancy instead of scanning every placement. All answers
+/// are bit-identical to the direct computations they replace.
 class PlacementContext {
  public:
   PlacementContext(const dag::Workflow& wf, sim::Schedule& schedule,
@@ -136,17 +135,20 @@ class PlacementContext {
   /// levels) rebuilds the snapshot.
   [[nodiscard]] cloud::VmId best_parallel_reuse(dag::TaskId t, bool exceed);
 
-  /// Globally cross-checks every best_parallel_reuse answer against the
-  /// historical linear scan; mismatches throw std::logic_error. Test-only.
+  /// Latest finish among `t`'s predecessors (0 for an entry task) — a lower
+  /// bound on the predecessor term of est_on. Throws like est_on when a
+  /// predecessor is unassigned.
+  [[nodiscard]] util::Seconds predecessors_ready(dag::TaskId t) const;
+
+  /// Globally cross-checks every bounded reuse walk (best_parallel_reuse,
+  /// AllPar1LnS's place_chain) against the historical unbounded one;
+  /// mismatches throw std::logic_error. Test-only.
   static void set_scan_verification(bool on) noexcept;
+  [[nodiscard]] static bool scan_verification() noexcept;
 
  private:
   [[nodiscard]] const std::vector<util::Seconds>& fill_exec_table(
       cloud::InstanceSize s) const;
-  [[nodiscard]] util::Seconds transfer_cached(std::size_t edge_slot,
-                                              util::Gigabytes data,
-                                              const cloud::Vm& from,
-                                              const cloud::Vm& to) const;
   void refresh_occupancy(const cloud::Vm& vm) const;
 
   const dag::Workflow* wf_;
@@ -159,17 +161,8 @@ class PlacementContext {
   // Memoized exec times: one table per instance size, filled on first use.
   mutable std::array<std::vector<util::Seconds>, cloud::kSizeCount> exec_;
 
-  // Memoized transfer times per (incoming-edge slot, from-size x to-size)
-  // for default-region endpoints on distinct VMs; < 0 means "not yet
-  // computed" (real transfer times are nonnegative).
-  mutable std::vector<util::Seconds> transfer_;
-
   [[nodiscard]] bool reuse_is_admissible(dag::TaskId t, const cloud::Vm& vm,
                                          bool exceed) const;
-  /// Latest finish among `t`'s predecessors (0 for an entry task) — a lower
-  /// bound on the predecessor term of est_on. Throws like est_on when a
-  /// predecessor is unassigned.
-  [[nodiscard]] util::Seconds predecessors_ready(dag::TaskId t) const;
   [[nodiscard]] cloud::VmId linear_parallel_reuse(dag::TaskId t, bool exceed) const;
 
   // Per-VM level occupancy, maintained lazily: vm_cursor_[id] placements of

@@ -90,16 +90,14 @@ sim::Schedule CpaEagerScheduler::run(const dag::Workflow& wf,
       sizes[candidate] = previous;
       (void)retimer.set_size(candidate, previous);  // revert, bitwise exact
       rejected.insert(candidate);
-      if (obs::enabled())
-        obs::emit_upgrade(candidate, false,
-                          static_cast<double>(cloud::index_of(sizes[candidate])),
-                          "CPA-Eager: upgrade busts budget");
+      obs::emit_upgrade(candidate, false,
+                        static_cast<double>(cloud::index_of(sizes[candidate])),
+                        "CPA-Eager: upgrade busts budget");
     } else {
       rejected.clear();
-      if (obs::enabled())
-        obs::emit_upgrade(candidate, true,
-                          static_cast<double>(cloud::index_of(sizes[candidate])),
-                          "CPA-Eager: critical-path upgrade");
+      obs::emit_upgrade(candidate, true,
+                        static_cast<double>(cloud::index_of(sizes[candidate])),
+                        "CPA-Eager: critical-path upgrade");
     }
   }
 

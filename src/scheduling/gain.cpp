@@ -114,14 +114,12 @@ sim::Schedule GainScheduler::run(const dag::Workflow& wf,
     if (retimer.set_size(best.task, best.target) > budget) {
       (void)retimer.set_size(best.task, best.cur);  // revert, bitwise exact
       rejected_slot(best.task, best.target) = 1;
-      if (obs::enabled())
-        obs::emit_upgrade(best.task, false, best.gain,
-                          "GAIN: best move busts budget");
+      obs::emit_upgrade(best.task, false, best.gain,
+                        "GAIN: best move busts budget");
     } else {
       sizes[best.task] = best.target;
       push_cells(best.task);
-      if (obs::enabled())
-        obs::emit_upgrade(best.task, true, best.gain, "GAIN: gain-matrix move");
+      obs::emit_upgrade(best.task, true, best.gain, "GAIN: gain-matrix move");
     }
   }
 

@@ -46,9 +46,9 @@ sim::Schedule LevelScheduler::run(const dag::Workflow& wf,
   obs::PhaseScope phase("level-scheduler: place");
   std::size_t level_index = 0;
   for (const auto& level : ctx.structure().levels_by_work_desc()) {
-    if (obs::enabled())
-      obs::emit_ready_set(level.size(),
-                          "level " + std::to_string(level_index) + " ready set");
+    obs::emit_ready_set(level.size(), [&] {
+      return "level " + std::to_string(level_index) + " ready set";
+    });
     ++level_index;
     for (dag::TaskId t : level)
       place_at_earliest(ctx, t, policy_->choose_vm(t, ctx));

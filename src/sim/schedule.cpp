@@ -10,10 +10,10 @@ namespace cloudwf::sim {
 
 cloud::VmId Schedule::rent(cloud::InstanceSize size, cloud::RegionId region) {
   const cloud::VmId id = pool_.rent(size, region).id();
-  if (obs::enabled())
-    obs::emit_vm_rent(id, 0,
-                      std::string(cloud::suffix_of(size)) + ", region " +
-                          std::to_string(region));
+  obs::emit_vm_rent(id, 0, [&] {
+    return std::string(cloud::suffix_of(size)) + ", region " +
+           std::to_string(region);
+  });
   return id;
 }
 

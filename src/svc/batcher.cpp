@@ -172,7 +172,7 @@ void Batcher::run_batch() {
   counters_.batches_run.fetch_add(1, std::memory_order_relaxed);
 
   {
-    obs::PhaseScope phase("svc: batch " + key);
+    obs::PhaseScope phase("svc: batch");
     EvalCache cache;  // shared across the whole batch: coalesced requests
                       // with overlapping cells evaluate each cell once
     for (QueuedRequest& request : batch) {

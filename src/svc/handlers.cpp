@@ -39,7 +39,7 @@ exp::RunResult evaluate_cell(const cloud::Platform& platform,
 
 dag::Workflow workflow_by_name(const std::string& name) {
   try {
-    return exp::catalog::workflow(name, exp::catalog::kMaxServedTasks);
+    return *exp::catalog::workflow(name, exp::catalog::kMaxServedTasks);
   } catch (const std::invalid_argument& e) {
     throw BadRequest(e.what());
   }
@@ -70,7 +70,7 @@ std::vector<ResultRow> evaluate_rows(const EvaluateRequest& request,
   validate_request(request);  // again: a worker may be handed anything
   const scheduling::Strategy& strategy =
       exp::catalog::strategy(request.strategy);
-  const dag::Workflow structure =
+  const std::shared_ptr<const dag::Workflow> structure =
       exp::catalog::workflow(request.workflow, exp::catalog::kMaxServedTasks);
 
   std::vector<ResultRow> rows;
@@ -83,12 +83,12 @@ std::vector<ResultRow> evaluate_rows(const EvaluateRequest& request,
       auto it = cache->run.find(key);
       if (it == cache->run.end())
         it = cache->run
-                 .emplace(key, evaluate_cell(platform, structure, strategy,
+                 .emplace(key, evaluate_cell(platform, *structure, strategy,
                                              request.scenario, seed))
                  .first;
       rows.push_back({seed, it->second});
     } else {
-      rows.push_back({seed, evaluate_cell(platform, structure, strategy,
+      rows.push_back({seed, evaluate_cell(platform, *structure, strategy,
                                           request.scenario, seed)});
     }
   }
@@ -101,7 +101,7 @@ std::vector<ResultRow> rank_rows(const RankRequest& request,
   obs::PhaseScope phase("svc: rank");
   validate_request(request);
   const auto compute = [&] {
-    const dag::Workflow structure =
+    const std::shared_ptr<const dag::Workflow> structure =
         exp::catalog::workflow(request.workflow, exp::catalog::kMaxServedTasks);
     workload::ScenarioConfig cfg;
     cfg.seed = request.seed;
@@ -109,7 +109,7 @@ std::vector<ResultRow> rank_rows(const RankRequest& request,
                                        exp::ParallelConfig::serial());
     // Serial inside the worker: the service pool is the parallelism layer,
     // nesting another pool per request would only oversubscribe it.
-    return runner.run_all(structure, request.scenario,
+    return runner.run_all(*structure, request.scenario,
                           exp::ParallelConfig::serial());
   };
 

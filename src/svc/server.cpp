@@ -127,9 +127,9 @@ void Server::start() {
   listen_fd_ = fd;
   started_ = true;
 
-  // The server's recorder becomes the process-global one: loop threads and
-  // pool workers all fall back to it, so request phases and scheduler
-  // counters accumulate for /stats.
+  // The server's count-only recorder becomes the process-global one: loop
+  // threads and pool workers all fall back to it, so request phases and
+  // scheduler counters accumulate for /stats.
   obs::set_global_recorder(&recorder_);
 
   EventLoop::SharedCounters shared;

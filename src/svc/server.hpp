@@ -21,8 +21,8 @@
 // Shutdown (`stop()`, wired to SIGTERM in the CLI) is a graceful drain:
 // the loops stop accepting, idle connections close, in-flight requests are
 // answered with `Connection: close`, queued batches run to completion, and
-// only then do the compute workers exit. A TraceRecorder spans the
-// server's lifetime as the process-global recorder; /stats surfaces its
+// only then do the compute workers exit. A count-only TraceRecorder spans
+// the server's lifetime as the process-global recorder; /stats surfaces its
 // phases and counters live, along with per-loop epoll statistics.
 #pragma once
 
@@ -118,7 +118,9 @@ class Server {
   ServerConfig config_;
   cloud::Platform platform_;
   ServiceCounters counters_;
-  obs::TraceRecorder recorder_;
+  // Count-only: /stats reads counters and phase stats and nothing drains
+  // events, so the workers keep no rings and build no payloads.
+  obs::TraceRecorder recorder_{0};
 
   util::ThreadPool pool_;
   Batcher batcher_;

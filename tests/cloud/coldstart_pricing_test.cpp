@@ -3,6 +3,15 @@
 // folds both into the BTU billing rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cmath>
+#include <latch>
+#include <numeric>
+#include <thread>
+#include <vector>
+
 #include "cloud/coldstart.hpp"
 #include "cloud/platform.hpp"
 #include "cloud/pricing.hpp"
@@ -62,6 +71,90 @@ TEST(PriceSchedule, SizesDrawIndependentPaths) {
         s.fraction_at(InstanceSize::xlarge, t))
       any_differ = true;
   EXPECT_TRUE(any_differ);
+}
+
+/// The paper-scale horizon the variable-price scenario prices over.
+constexpr util::Seconds kWeek = 7 * 24 * 3600.0;
+
+/// Every size's path over `horizon` from the eager sampler, drawn from the
+/// per-size substreams PriceSchedule documents: the reference a lazily
+/// drawn schedule must equal bit for bit.
+std::array<std::vector<double>, kSizeCount> eager_paths(
+    const PriceTrajectoryModel& model, util::Seconds horizon,
+    std::uint64_t seed) {
+  const auto points =
+      static_cast<std::size_t>(std::ceil(horizon / model.tick)) + 1;
+  std::array<std::vector<double>, kSizeCount> out;
+  for (InstanceSize s : kAllSizes) {
+    std::uint64_t state = seed ^ (0xd1b54a32d192ed03ULL * (index_of(s) + 1));
+    util::Rng rng(util::splitmix64(state));
+    out[index_of(s)] = sample_price_fractions(
+        model.mean_fraction, model.reversion, model.volatility,
+        model.floor_fraction, model.cap_fraction, points, rng);
+  }
+  return out;
+}
+
+/// Tick indices [0, n) forward, backward and in a seeded random order.
+std::array<std::vector<std::size_t>, 3> read_orders(std::size_t n,
+                                                    std::uint64_t seed) {
+  std::vector<std::size_t> forward(n);
+  std::iota(forward.begin(), forward.end(), std::size_t{0});
+  std::vector<std::size_t> backward(forward.rbegin(), forward.rend());
+  std::vector<std::size_t> shuffled = forward;
+  util::Rng rng(seed);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  return {forward, backward, shuffled};
+}
+
+TEST(PriceSchedule, LazyPathsEqualTheEagerSamplerInAnyReadOrder) {
+  const PriceTrajectoryModel model;
+  for (const std::uint64_t seed : {1ULL, 42ULL, 20120131ULL}) {
+    const auto want = eager_paths(model, kWeek, seed);
+    for (const std::vector<std::size_t>& order :
+         read_orders(want[0].size(), seed)) {
+      const PriceSchedule schedule(model, kWeek, seed);
+      for (const std::size_t tick : order)
+        for (InstanceSize s : kAllSizes)
+          ASSERT_EQ(schedule.fraction_at(s, static_cast<double>(tick) * model.tick),
+                    want[index_of(s)][tick])
+              << "seed " << seed << ", size " << index_of(s) << ", tick "
+              << tick;
+    }
+  }
+}
+
+// Four threads read one shared schedule at once, each in its own order, so
+// draws race with lock-free reads of published ticks. Carries the tsan
+// ctest label: under ThreadSanitizer an unsynchronized access fails it.
+TEST(PriceScheduleConcurrency, SharedScheduleReadsEqualTheEagerSampler) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  const PriceTrajectoryModel model;
+  const auto want = eager_paths(model, kWeek, 7);
+  const std::size_t ticks = want[0].size();
+
+  std::atomic<int> mismatches{0};
+  for (int round = 0; round < kRounds; ++round) {
+    const PriceSchedule schedule(model, kWeek, 7);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const std::vector<std::size_t> order =
+            read_orders(ticks, static_cast<std::uint64_t>(round * kThreads + t))
+                [static_cast<std::size_t>(t) % 3];
+        start.arrive_and_wait();
+        for (const std::size_t tick : order)
+          for (InstanceSize s : kAllSizes)
+            if (schedule.fraction_at(s, static_cast<double>(tick) * model.tick) !=
+                want[index_of(s)][tick])
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(VmBilling, NoModelsDelegatesToFlatAccounting) {

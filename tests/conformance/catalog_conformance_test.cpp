@@ -275,8 +275,8 @@ void CatalogConformance::expect_every_surface_agrees(
                                        exp::ParallelConfig::serial());
     want.push_back(exp::sweep_row(
         runner.run_one(catalog::strategy(cell.strategy),
-                       catalog::workflow(cell.workflow,
-                                         catalog::kMaxServedTasks),
+                       *catalog::workflow(cell.workflow,
+                                          catalog::kMaxServedTasks),
                        cell.scenario),
         cell.seed));
   }

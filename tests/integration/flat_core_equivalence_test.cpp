@@ -61,10 +61,11 @@ TEST(FlatCoreEquivalence, AllStrategiesOnAllWorkflowsUnderIndexVerification) {
   }
 }
 
-// The AllPar candidate index (PlacementContext::best_parallel_reuse) must
-// return exactly the linear reuse_order() walk's first admissible VM on
-// every query the schedulers issue. Scan-verification mode cross-checks
-// each answer in place; the paper workflows cover the level-by-level query
+// The AllPar candidate index (PlacementContext::best_parallel_reuse) and
+// AllPar1LnS's bounded chain walk (place_chain) must return exactly the
+// linear reuse_order() walk's first admissible VM on every query the
+// schedulers issue. Scan-verification mode cross-checks each answer in
+// place; the paper workflows cover the level-by-level query
 // stream and the wide random DAGs cover HEFT's level-interleaved one. The
 // Pegasus families at ~500 tasks rent hundreds of VMs, most of them past
 // their paid window for any given task, so they exercise the paid-window

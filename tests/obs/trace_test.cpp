@@ -3,11 +3,14 @@
 // under a real worker pool (this binary carries the tsan ctest label).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "exp/catalog.hpp"
+#include "exp/experiment.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -164,6 +167,62 @@ TEST(TraceRecorder, PhaseScopeIsANoOpWhenDisabled) {
   EXPECT_FALSE(enabled());
 }
 
+TEST(TraceRecorder, PhaseScopeJoinsPrefixAndLabel) {
+  TraceRecorder recorder;
+  {
+    ScopedRecording recording(recorder);
+    PhaseScope phase("run: ", "GAIN");
+  }
+  EXPECT_EQ(recorder.phase_stats().count("run: GAIN"), 1u);
+}
+
+// A recorder with no ring capacity keeps the counters and phase stats of a
+// ring-keeping one, event for event, and keeps no event.
+TEST(TraceRecorder, CountOnlyRecorderCountsWhatARingKeepingOneCounts) {
+  const exp::ExperimentRunner runner;
+  for (const char* name : {"montage", "cybershake:300"}) {
+    const auto structure =
+        exp::catalog::workflow(name, exp::catalog::kMaxServedTasks);
+    const auto run_all = [&](TraceRecorder& recorder) {
+      ScopedRecording recording(recorder);
+      return runner.run_all(*structure, workload::ScenarioKind::pareto,
+                            exp::ParallelConfig::serial());
+    };
+    TraceRecorder ring;
+    TraceRecorder count_only(0);
+    EXPECT_TRUE(ring.keeps_events());
+    EXPECT_FALSE(count_only.keeps_events());
+    (void)run_all(ring);
+    (void)run_all(count_only);
+
+    const CounterSnapshot want = ring.counters();
+    const CounterSnapshot got = count_only.counters();
+    EXPECT_GT(want.events_recorded, 0u) << name;
+    EXPECT_EQ(got.events_recorded, want.events_recorded) << name;
+    EXPECT_EQ(got.events_dropped, 0u) << name;
+    EXPECT_EQ(got.vms_rented, want.vms_rented) << name;
+    EXPECT_EQ(got.vms_reused, want.vms_reused) << name;
+    EXPECT_EQ(got.btu_extends, want.btu_extends) << name;
+    EXPECT_EQ(got.btus_added, want.btus_added) << name;
+    EXPECT_EQ(got.tasks_placed, want.tasks_placed) << name;
+    EXPECT_EQ(got.sim_events, want.sim_events) << name;
+    EXPECT_EQ(got.transfers, want.transfers) << name;
+    EXPECT_EQ(got.upgrades_accepted, want.upgrades_accepted) << name;
+    EXPECT_EQ(got.upgrades_rejected, want.upgrades_rejected) << name;
+    EXPECT_EQ(got.max_queue_depth, want.max_queue_depth) << name;
+
+    const auto want_phases = ring.phase_stats();
+    const auto got_phases = count_only.phase_stats();
+    ASSERT_EQ(got_phases.size(), want_phases.size()) << name;
+    for (auto w = want_phases.begin(), g = got_phases.begin();
+         w != want_phases.end(); ++w, ++g) {
+      EXPECT_EQ(g->first, w->first) << name;
+      EXPECT_EQ(g->second.count, w->second.count) << name << " " << w->first;
+    }
+    EXPECT_TRUE(count_only.drain().empty()) << name;
+  }
+}
+
 // The concurrency certification: many pool workers record into ONE shared
 // recorder through the global hook, each getting its own lock-free sink.
 // Run under TSan via `ctest -L tsan` (this whole binary carries the label).
@@ -195,6 +254,51 @@ TEST(TraceRecorderConcurrency, SharedRecorderAcrossPoolWorkers) {
   EXPECT_EQ(c.events_dropped, 0u);
   EXPECT_EQ(c.max_queue_depth, kEventsPerJob - 1);
   EXPECT_EQ(recorder.drain().size(), kJobs * kEventsPerJob);
+}
+
+// The service's pattern: one count-only recorder shared by pool workers
+// that place, finish and time phases while a reader polls the merged
+// counters and phase stats, as /stats does.
+TEST(TraceRecorderConcurrency, CountOnlyRecorderMergesWhileWorkersRecord) {
+  constexpr std::size_t kJobs = 32;
+  constexpr std::size_t kEventsPerJob = 400;
+
+  TraceRecorder recorder(0);
+  set_global_recorder(&recorder);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      (void)recorder.counters();
+      (void)recorder.phase_stats();
+    }
+  });
+  {
+    util::ThreadPool pool(4);
+    std::vector<std::future<void>> futures;
+    futures.reserve(kJobs);
+    for (std::size_t j = 0; j < kJobs; ++j) {
+      futures.push_back(pool.submit([j] {
+        PhaseScope phase("job");
+        for (std::size_t i = 0; i < kEventsPerJob; ++i) {
+          emit_task_place(i, j, 0, 1, i % 2 == 1, 1);
+          note_queue_depth(i);
+        }
+      }));
+    }
+    for (auto& f : futures) f.get();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  set_global_recorder(nullptr);
+
+  const CounterSnapshot c = recorder.counters();
+  EXPECT_EQ(c.tasks_placed, kJobs * kEventsPerJob);
+  EXPECT_EQ(c.vms_reused, kJobs * kEventsPerJob / 2);
+  EXPECT_EQ(c.btus_added, kJobs * kEventsPerJob);
+  EXPECT_EQ(c.events_recorded, kJobs * kEventsPerJob + kJobs);  // + phases
+  EXPECT_EQ(c.max_queue_depth, kEventsPerJob - 1);
+  EXPECT_EQ(recorder.phase_stats().at("job").count, kJobs);
+  EXPECT_TRUE(recorder.drain().empty());
 }
 
 // Per-job private recorders on concurrent workers: the thread-local install

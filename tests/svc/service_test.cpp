@@ -115,6 +115,31 @@ TEST_F(ServiceTest, StatsExposeCountersAndPhases) {
   // Per-request obs phases surface on /stats: the evaluate span must exist.
   const auto& phases = body.as_object().at("phases").as_object();
   EXPECT_TRUE(phases.count("svc: evaluate")) << response->body;
+  EXPECT_TRUE(phases.count("svc: batch")) << response->body;
+}
+
+// /stats keeps one entry per phase name for the server's lifetime, and
+// "family:N" lets a client pick among 20,000 workflow names per family, so
+// no phase may be named after the request's workflow.
+TEST_F(ServiceTest, StatsPhasesDoNotGrowWithDistinctWorkflows) {
+  const auto evaluate = [&](int tasks) {
+    const auto response =
+        post("/v1/evaluate", R"({"workflow":"ligo:)" + std::to_string(tasks) +
+                                 R"(","strategy":"AllParExceed-m","seed":0})");
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 200) << response->body;
+  };
+  const auto phase_count = [&]() -> std::size_t {
+    const auto response = get("/stats");
+    if (!response) return 0;
+    return Json::parse(response->body).as_object().at("phases").as_object().size();
+  };
+
+  evaluate(20);
+  const std::size_t after_first = phase_count();
+  ASSERT_GT(after_first, 0u);
+  for (int tasks = 21; tasks <= 44; ++tasks) evaluate(tasks);
+  EXPECT_EQ(phase_count(), after_first);
 }
 
 // The acceptance criterion: responses computed concurrently through the
@@ -151,6 +176,29 @@ TEST_F(ServiceTest, ConcurrentResponsesMatchSerialAnswersByteForByte) {
     cases.push_back({"/v1/rank",
                      R"({"workflow":"mapreduce","seed":3})",
                      rank_body(request, platform)});
+  }
+  {
+    // Rank prices 19 schedules against one lazily drawn price path.
+    RankRequest request;
+    request.workflow = "montage";
+    request.scenario = workload::ScenarioKind::variable_price;
+    request.seed = 5;
+    cases.push_back(
+        {"/v1/rank",
+         R"({"workflow":"montage","scenario":"variable-price","seed":5})",
+         rank_body(request, platform)});
+  }
+  {
+    // A family:N workflow is built per request, not resident.
+    EvaluateRequest request;
+    request.workflow = "ligo:40";
+    request.strategy = "AllPar1LnS";
+    request.scenario = workload::ScenarioKind::cold_start;
+    request.seed_begin = request.seed_end = 2;
+    cases.push_back(
+        {"/v1/evaluate",
+         R"({"workflow":"ligo:40","strategy":"AllPar1LnS","scenario":"cold-start","seed":2})",
+         evaluate_body(request, platform)});
   }
 
   // Every case fired twice from each of 4 threads, all in flight together,

@@ -153,7 +153,7 @@ dag::Workflow resolve_workflow(const std::string& spec) {
   if (spec.find("->") != std::string::npos)
     return dag::parse_edge_dsl(spec, "inline");
   try {
-    return exp::catalog::workflow(spec, exp::catalog::kMaxCliTasks);
+    return *exp::catalog::workflow(spec, exp::catalog::kMaxCliTasks);
   } catch (const std::invalid_argument&) {
     if (!std::filesystem::is_regular_file(spec)) throw;
   }
