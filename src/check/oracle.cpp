@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -397,158 +398,6 @@ void check_schedule_or_throw(const dag::Workflow& wf,
   if (report.ok()) return;
   throw std::logic_error("oracle: infeasible schedule for workflow '" +
                          wf.name() + "':\n" + report.to_string());
-}
-
-ReplayAudit check_faulty_replay(const dag::Workflow& wf,
-                                const sim::Schedule& schedule,
-                                const cloud::Platform& platform,
-                                const sim::FaultyReplayResult& replay) {
-  ReplayAudit audit;
-  audit.report.workflow = wf.name();
-  const auto complain = [&audit](std::string invariant, std::string detail) {
-    audit.report.violations.push_back(
-        Violation{std::move(invariant), std::move(detail)});
-  };
-
-  const std::size_t n = wf.task_count();
-  if (replay.tasks.size() != n) {
-    complain("replay-size",
-             "replay holds " + std::to_string(replay.tasks.size()) +
-                 " intervals for " + std::to_string(n) + " tasks");
-    return audit;  // per-task checks would index out of bounds
-  }
-
-  const cloud::VmPool& pool = schedule.pool();
-
-  // Durations: an interval is the final attempt plus every failed attempt
-  // and detection delay before it — never shorter than the planned
-  // execution time, and exactly it when nothing failed. The per-task
-  // excesses must sum to the reported time_lost (nothing lost untracked).
-  util::Seconds total_stretch = 0;
-  for (const dag::Task& t : wf.tasks()) {
-    const sim::ReplayedTask& r = replay.tasks[t.id];
-    const cloud::Vm& vm = pool.vm(schedule.assignment(t.id).vm);
-    const util::Seconds planned = cloud::exec_time(t.work, vm.size());
-    const util::Seconds replayed = r.end - r.start;
-    if (util::time_gt(planned, replayed)) {
-      std::ostringstream os;
-      os << task_label(wf, t.id) << " replayed in " << replayed
-         << "s, shorter than the planned " << planned << "s";
-      complain("replay-duration", os.str());
-    } else if (replay.failures == 0 && !util::time_eq(replayed, planned)) {
-      std::ostringstream os;
-      os << task_label(wf, t.id) << " stretched to " << replayed
-         << "s with zero failures (planned " << planned << "s)";
-      complain("replay-duration", os.str());
-    }
-    total_stretch += replayed - planned;
-  }
-  if (!util::time_eq(total_stretch, replay.time_lost))
-    complain("replay-accounting",
-             "intervals carry " + std::to_string(total_stretch) +
-                 "s of stretch but time_lost reports " +
-                 std::to_string(replay.time_lost) + "s");
-
-  // Faults only push work later: the fault-free replay of the same mapping
-  // is a per-task lower bound on both endpoints.
-  const sim::ReplayResult baseline =
-      sim::EventSimulator(platform).replay(wf, schedule);
-  for (const dag::Task& t : wf.tasks()) {
-    const sim::ReplayedTask& r = replay.tasks[t.id];
-    const sim::ReplayedTask& b = baseline.tasks[t.id];
-    if (util::time_gt(b.start, r.start) || util::time_gt(b.end, r.end)) {
-      std::ostringstream os;
-      os << task_label(wf, t.id) << " replays at [" << r.start << ", " << r.end
-         << "]s, earlier than the fault-free [" << b.start << ", " << b.end
-         << "]s";
-      complain("replay-monotonic", os.str());
-    }
-  }
-
-  // Per-VM: planned placement order preserved, no overlap between the
-  // stretched intervals, and the bill re-derived from them (rent/stop
-  // session segmentation, Table II prices — with the cold-start anchor and
-  // per-BTU price fractions applied when scenario billing is installed).
-  const bool scenario_billing = platform.scenario_billing_active();
-  const cloud::PriceSchedule* price_schedule = platform.price_schedule();
-  for (const cloud::Vm& vm : pool.vms()) {
-    const auto& ps = vm.placements();
-    std::vector<std::pair<util::Seconds, util::Seconds>> sessions;
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      const sim::ReplayedTask& cur = replay.tasks[ps[i].task];
-      audit.replayed_busy += cur.end - cur.start;
-      if (i > 0) {
-        const sim::ReplayedTask& prev = replay.tasks[ps[i - 1].task];
-        if (util::time_gt(prev.start, cur.start))
-          complain("replay-order",
-                   "VM " + std::to_string(vm.id()) + ": " +
-                       task_label(wf, ps[i].task) + " replays before " +
-                       task_label(wf, ps[i - 1].task));
-        if (util::time_gt(prev.end, cur.start))
-          complain("replay-overlap",
-                   "VM " + std::to_string(vm.id()) + ": " +
-                       task_label(wf, ps[i - 1].task) + " overlaps " +
-                       task_label(wf, ps[i].task));
-      }
-      if (sessions.empty()) {
-        sessions.emplace_back(cur.start, cur.end);
-        continue;
-      }
-      auto& open = sessions.back();
-      const util::Seconds paid_end =
-          open.first + static_cast<util::Seconds>(
-                           oracle_btus(open.second - open.first)) *
-                           util::kBtu;
-      if (util::time_gt(cur.start, paid_end))
-        sessions.emplace_back(cur.start, cur.end);
-      else
-        open.second = std::max(open.second, cur.end);
-    }
-    const util::Seconds cold =
-        scenario_billing ? platform.cold_start_delay(vm.size(), vm.region())
-                         : 0.0;
-    const util::Money list = platform.region(vm.region()).price(vm.size());
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-      const util::Seconds anchor =
-          i == 0 ? sessions[i].first - cold : sessions[i].first;
-      const std::int64_t session_btus =
-          oracle_btus(sessions[i].second - anchor);
-      audit.replayed_btus += session_btus;
-      if (scenario_billing && price_schedule != nullptr) {
-        for (std::int64_t k = 0; k < session_btus; ++k)
-          audit.replayed_vm_cost += list.scaled(price_schedule->fraction_at(
-              vm.size(), anchor + static_cast<util::Seconds>(k) * util::kBtu));
-      } else {
-        audit.replayed_vm_cost += list * session_btus;
-      }
-    }
-  }
-
-  // Precedence across the stretched timeline, transfers included.
-  for (const dag::Edge& e : wf.edges()) {
-    const sim::ReplayedTask& from = replay.tasks[e.from];
-    const sim::ReplayedTask& to = replay.tasks[e.to];
-    const util::Seconds transfer = platform.transfer_time(
-        wf.edge_data(e.from, e.to), pool.vm(schedule.assignment(e.from).vm),
-        pool.vm(schedule.assignment(e.to).vm));
-    if (util::time_gt(from.end + transfer, to.start)) {
-      std::ostringstream os;
-      os << task_label(wf, e.to) << " replays at " << to.start << "s but "
-         << task_label(wf, e.from) << " finishes at " << from.end
-         << "s + transfer " << transfer << "s";
-      complain("replay-precedence", os.str());
-    }
-  }
-
-  util::Seconds makespan = 0;
-  for (const sim::ReplayedTask& r : replay.tasks)
-    makespan = std::max(makespan, r.end);
-  if (!util::time_eq(makespan, replay.makespan))
-    complain("replay-makespan",
-             "reported makespan " + std::to_string(replay.makespan) +
-                 "s != max interval end " + std::to_string(makespan) + "s");
-
-  return audit;
 }
 
 }  // namespace cloudwf::check

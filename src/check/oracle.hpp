@@ -21,21 +21,13 @@
 //
 // None of the checks consult Vm::Session, VmPool's indices or the
 // StructureCache — a bug in any of those caches cannot hide from the oracle.
-//
-// check_faulty_replay extends the oracle to fault-injected replays
-// (sim/faults.hpp): the retry-stretched intervals must still respect
-// overlap, same-VM order and precedence+transfer, dominate the fault-free
-// replay point-for-point, and account for every lost second — and the bill
-// is re-derived from the stretched placements with the same rent/stop rule.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cloud/platform.hpp"
 #include "dag/workflow.hpp"
-#include "sim/faults.hpp"
 #include "sim/metrics.hpp"
 #include "sim/schedule.hpp"
 #include "util/json.hpp"
@@ -74,36 +66,5 @@ struct OracleReport {
 void check_schedule_or_throw(const dag::Workflow& wf,
                              const sim::Schedule& schedule,
                              const cloud::Platform& platform);
-
-/// check_faulty_replay's result: the violation report plus the bill
-/// re-derived from the retry-stretched intervals (sessions segmented by the
-/// same rent/stop rule the billing check uses, priced from the region
-/// table). The derived figures let callers compare a fault scenario's cost
-/// against the planned schedule's without trusting any simulator cache.
-struct ReplayAudit {
-  OracleReport report;
-  std::int64_t replayed_btus = 0;    ///< BTUs from stretched sessions
-  util::Money replayed_vm_cost;      ///< those BTUs priced per VM region
-  util::Seconds replayed_busy = 0;   ///< sum of stretched attempt intervals
-
-  [[nodiscard]] bool ok() const noexcept { return report.ok(); }
-};
-
-/// Audits one fault-injected replay of `schedule` (same workflow/platform).
-/// Invariants, all derived from raw replayed intervals:
-///
-///   replay-size        one interval per workflow task;
-///   replay-duration    every interval at least the planned duration, and
-///                      exactly it when the replay saw zero failures;
-///   replay-monotonic   start/end never earlier than the fault-free replay
-///                      of the same mapping (faults only push work later);
-///   replay-overlap     stretched intervals on one VM still never overlap;
-///   replay-order       each VM runs its tasks in the planned order;
-///   replay-precedence  start(t) >= end(p) + transfer for every edge;
-///   replay-makespan    the reported makespan is the max interval end;
-///   replay-accounting  total stretch over planned durations == time_lost.
-[[nodiscard]] ReplayAudit check_faulty_replay(
-    const dag::Workflow& wf, const sim::Schedule& schedule,
-    const cloud::Platform& platform, const sim::FaultyReplayResult& replay);
 
 }  // namespace cloudwf::check

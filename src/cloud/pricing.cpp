@@ -21,8 +21,8 @@ struct PriceWalk {
 
   /// Draws point `i` of a path from `rng`, advancing the path's
   /// log-multiplier `log_f` (which starts at log_mean). Box-Muller takes two
-  /// uniforms per point, even at i == 0, so the stream layout matches the
-  /// historical SpotPriceSeries sampler exactly.
+  /// uniforms per point, even at i == 0, which fixes the stream layout every
+  /// committed price path was drawn with.
   double point(std::size_t i, double& log_f, util::Rng& rng) const {
     const double u1 = 1.0 - rng.uniform();
     const double u2 = rng.uniform();

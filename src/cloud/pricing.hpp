@@ -1,10 +1,9 @@
 // Time-varying on-demand pricing.
 //
 // Table II's prices are a snapshot of October 31st 2012; real clouds reprice
-// continuously and the spot market (cloud/spot.hpp) never stands still. A
-// PriceSchedule carries one sampled price-multiplier path per instance size —
-// the same mean-reverting log-space walk SpotPriceSeries uses, re-based
-// around the on-demand list price — so a BTU rented at time t costs
+// continuously. A PriceSchedule carries one sampled price-multiplier path per
+// instance size — a mean-reverting log-space walk around the on-demand list
+// price — so a BTU rented at time t costs
 // list_price x fraction_at(size, t). Strategies keep planning against the
 // list price (they cannot see the future); what they pay depends on *when*
 // they rent, which is exactly the axis the variable-price scenario studies.
@@ -20,9 +19,9 @@
 
 namespace cloudwf::cloud {
 
-/// Parameters of one mean-reverting multiplier path (shared with the spot
-/// market model's process; defaults here describe on-demand repricing, which
-/// hovers around the list price rather than a deep discount).
+/// Parameters of one mean-reverting multiplier path (the defaults describe
+/// on-demand repricing, which hovers around the list price rather than a
+/// deep discount).
 struct PriceTrajectoryModel {
   double mean_fraction = 1.0;   ///< long-run multiplier on the list price
   double reversion = 0.15;      ///< log-space mean reversion per tick, (0, 1]
@@ -34,10 +33,10 @@ struct PriceTrajectoryModel {
 
 /// Samples ceil(horizon/tick)+1 multiplier points of the mean-reverting
 /// log-space walk (Box-Muller normals from `rng`), clamped into
-/// [floor_fraction, cap_fraction]. This is the exact process
-/// SpotPriceSeries prices with, and each PriceSchedule path draws its points
-/// with the same step; it lives here so every consumer shares one
-/// implementation. Throws std::invalid_argument on bad parameters.
+/// [floor_fraction, cap_fraction]. Each PriceSchedule path draws its points
+/// with the same step, so this eager sampler is the reference its lazy
+/// paths are tested against. Throws std::invalid_argument on bad
+/// parameters.
 [[nodiscard]] std::vector<double> sample_price_fractions(
     double mean_fraction, double reversion, double volatility,
     double floor_fraction, double cap_fraction, std::size_t points,

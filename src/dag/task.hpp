@@ -14,6 +14,7 @@ namespace cloudwf::dag {
 using TaskId = std::uint32_t;
 
 inline constexpr TaskId kInvalidTask = std::numeric_limits<TaskId>::max();
+static_assert(kInvalidTask == 0xffffffffu);
 
 struct Task {
   TaskId id = kInvalidTask;

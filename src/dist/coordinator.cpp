@@ -1,14 +1,12 @@
 #include "dist/coordinator.hpp"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
+#include <algorithm>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <variant>
 
@@ -113,66 +111,26 @@ CoordinatorServer::~CoordinatorServer() { stop(); }
 void CoordinatorServer::start() {
   if (started_) throw std::logic_error("CoordinatorServer::start called twice");
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0)
-    throw std::runtime_error("socket(): " + std::string(std::strerror(errno)));
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(config_.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, 64) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("coordinator bind/listen: " + err);
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
+  in_addr loopback{};
+  loopback.s_addr = htonl(INADDR_LOOPBACK);
+  const svc::Listener listener = svc::listen_tcp(loopback, config_.port);
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
   started_ = true;
-  acceptor_ = std::thread([this] { accept_loop(); });
-}
 
-void CoordinatorServer::accept_loop() {
-  // Blocking accept; shutdown() on the listen fd from stop() wakes it with
-  // an error. Workers are few (a fleet, not the public internet), so one
-  // thread per connection is the simplest correct shape.
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;
-    }
-    const std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns_.emplace_back([this, fd] { serve_connection(fd); });
-  }
-}
-
-void CoordinatorServer::serve_connection(int fd) {
-  // Idle connections close after a short receive timeout instead of parking
-  // this thread forever (stop() joins every connection thread; a silent
-  // peer must not be able to wedge it). Workers reconnect transparently —
-  // HttpClient retries once on a dropped keep-alive connection.
-  timeval timeout{};
-  timeout.tv_sec = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-
-  std::string carry;
-  for (;;) {
-    const svc::ReadResult read = svc::read_http_request(fd, carry);
-    if (read.status != svc::ReadStatus::ok) break;
-    svc::HttpResponse response = handle(read.request);
-    response.close_connection =
-        response.close_connection || !read.request.keep_alive();
-    if (!svc::write_all(fd, svc::serialize_response(response))) break;
-    if (response.close_connection) break;
-  }
-  ::close(fd);
+  // Both routes are a tracker call and a small encode, so the loop answers
+  // every request inline and never defers to a completion.
+  svc::EventLoop::Config loop_config;
+  loop_config.listen_fd = listen_fd_;
+  loop_config.max_connections = kMaxConnections;
+  loop_config.counters.connections_active = &connections_active_;
+  loop_ = std::make_unique<svc::EventLoop>(
+      loop_config, [this](svc::HttpRequest&& request, svc::HttpResponse& sync,
+                          svc::EventLoop::Completion) {
+        sync = handle(request);
+        return true;
+      });
+  loop_->start();
 }
 
 svc::HttpResponse CoordinatorServer::handle(const svc::HttpRequest& request) {
@@ -242,6 +200,13 @@ svc::HttpResponse CoordinatorServer::handle(const svc::HttpRequest& request) {
 
 SweepOutcome CoordinatorServer::finish() {
   tracker_.wait_finished();
+  // Workers learn that the sweep is over from the 204 on their next lease.
+  // Give the ones still connected a moment to ask and hang up before the
+  // drain closes their connections.
+  const auto deadline = std::chrono::steady_clock::now() + kFinishGrace;
+  while (connections_active_.load(std::memory_order_relaxed) > 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   const bool was_dead = tracker_.dead();
   stop();
   if (was_dead)
@@ -258,18 +223,13 @@ SweepOutcome CoordinatorServer::finish() {
 void CoordinatorServer::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  stopping_.store(true, std::memory_order_release);
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
+  if (loop_) {
+    loop_->request_stop();
+    loop_->join();
+    loop_.reset();
+  }
   ::close(listen_fd_);
   listen_fd_ = -1;
-  std::vector<std::thread> conns;
-  {
-    const std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns.swap(conns_);
-  }
-  for (std::thread& conn : conns)
-    if (conn.joinable()) conn.join();
 }
 
 }  // namespace cloudwf::dist

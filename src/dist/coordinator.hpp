@@ -13,7 +13,8 @@
 //   (204 once the sweep is finished, 503 when the worker should back off
 //   and retry), POST /v1/shard/result reports rows (binary shard_response
 //   frame or the JSON shard body). Lost workers are simply leases that
-//   expire.
+//   expire. The routes are answered inline on one svc::EventLoop, the same
+//   epoll loop `cloudwf serve` runs.
 //
 // Either way the merged result is exp::merge_shards over the tracker's
 // rows — canonical grid order, certified bit-identical to the serial sweep
@@ -21,17 +22,17 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cloud/platform.hpp"
 #include "dist/tracker.hpp"
 #include "exp/sweep_grid.hpp"
+#include "svc/event_loop.hpp"
 #include "svc/http.hpp"
 
 namespace cloudwf::dist {
@@ -89,12 +90,16 @@ struct SweepOutcome {
     const std::vector<std::shared_ptr<ShardTransport>>& workers,
     const CoordinatorOptions& options = {});
 
-/// Pull-mode coordinator: a minimal blocking HTTP listener over the same
-/// tracker. Binds loopback only (workers on other machines connect to a
+/// Pull-mode coordinator: one event loop serving the tracker's two routes.
+/// Binds loopback only (workers on other machines connect to a
 /// `cloudwf serve` fleet in push mode instead — that path has the auth
-/// token).
+/// token). Idle worker connections stay open until the worker or stop()
+/// closes them; a connection beyond kMaxConnections is answered 503.
 class CoordinatorServer {
  public:
+  static constexpr std::size_t kMaxConnections = 128;
+  static constexpr std::chrono::milliseconds kFinishGrace{1000};
+
   struct Config {
     std::uint16_t port = 0;  ///< 0 = ephemeral; see port()
     TrackerConfig tracker;
@@ -106,14 +111,19 @@ class CoordinatorServer {
   CoordinatorServer(const CoordinatorServer&) = delete;
   CoordinatorServer& operator=(const CoordinatorServer&) = delete;
 
+  /// Binds, listens and starts the loop; a worker may connect the moment
+  /// this returns. Throws std::runtime_error when the port cannot be bound.
   void start();
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Blocks until every shard completed (or the sweep died), stops the
-  /// listener and returns the merged sweep. Throws std::runtime_error on a
-  /// dead sweep.
+  /// Blocks until every shard completed (or the sweep died), waits up to
+  /// kFinishGrace for connected workers to collect their 204 and hang up,
+  /// stops the listener and returns the merged sweep. Throws
+  /// std::runtime_error on a dead sweep.
   [[nodiscard]] SweepOutcome finish();
 
+  /// Drains the loop (a request already read still gets its answer), then
+  /// closes the listener. Idempotent.
   void stop();
 
   [[nodiscard]] const ShardTracker& tracker() const noexcept {
@@ -121,8 +131,6 @@ class CoordinatorServer {
   }
 
  private:
-  void accept_loop();
-  void serve_connection(int fd);
   [[nodiscard]] svc::HttpResponse handle(const svc::HttpRequest& request);
 
   std::vector<exp::ShardSpec> shards_;
@@ -131,12 +139,10 @@ class CoordinatorServer {
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
   bool started_ = false;
   bool stopped_ = false;
-  std::thread acceptor_;
-  std::mutex conns_mutex_;
-  std::vector<std::thread> conns_;
+  std::atomic<std::uint64_t> connections_active_{0};  ///< the loop's cap
+  std::unique_ptr<svc::EventLoop> loop_;
 };
 
 }  // namespace cloudwf::dist

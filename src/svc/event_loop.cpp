@@ -1,6 +1,6 @@
 #include "svc/event_loop.hpp"
 
-#include <netinet/in.h>
+#include <arpa/inet.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -30,6 +30,34 @@ void uncount(std::atomic<std::uint64_t>* counter) {
 }
 
 }  // namespace
+
+Listener listen_tcp(in_addr address, std::uint16_t port) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0)
+    throw std::runtime_error("socket(): " + std::string(std::strerror(errno)));
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr = address;
+  addr.sin_port = htons(port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    throw std::runtime_error("bind(port " + std::to_string(port) + "): " + err);
+  }
+  if (::listen(fd, 256) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    throw std::runtime_error("listen(): " + err);
+  }
+
+  socklen_t len = sizeof addr;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  return Listener{fd, ntohs(addr.sin_port)};
+}
 
 EventLoop::EventLoop(Config config, Dispatcher dispatcher)
     : cfg_(config), dispatcher_(std::move(dispatcher)) {
@@ -300,8 +328,9 @@ bool EventLoop::process_input(Connection& conn) {
     ParseResult parsed = parse_http_request(conn.in, cfg_.limits);
     if (parsed.status == ParseStatus::need_more) {
       if (conn.peer_eof) {
-        // The old blocking path reported this via read_http_request; keep
-        // the same 400 + error text for an abruptly truncated request.
+        // The peer half-closed inside a request, so it can never complete.
+        // Answer instead of dropping it silently, and say whether the
+        // header block or the body was cut short.
         count(cfg_.counters.bad_request_400);
         HttpResponse bad;
         bad.status = 400;

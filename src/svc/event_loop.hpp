@@ -17,11 +17,17 @@
 // marshals them home through a mutex-guarded queue plus an eventfd wakeup,
 // so connection state is only ever touched by the owning loop thread.
 //
-// Drain (`request_stop`) mirrors the blocking server's semantics: the loop
-// deregisters the listen fd, closes idle connections, answers buffered
-// complete requests with `Connection: close`, and exits once the last
-// in-flight completion has been written out.
+// Drain (`request_stop`): the loop deregisters the listen fd, closes idle
+// connections, answers buffered complete requests with `Connection: close`,
+// and exits once the last in-flight completion has been written out.
+//
+// Both HTTP servers in the tree run on this loop: `cloudwf serve`
+// (svc::Server) and the pull-mode sweep coordinator
+// (dist::CoordinatorServer). listen_tcp opens the socket either one hands
+// to its loops.
 #pragma once
+
+#include <netinet/in.h>
 
 #include <atomic>
 #include <cstdint>
@@ -36,6 +42,18 @@
 #include "svc/http.hpp"
 
 namespace cloudwf::svc {
+
+/// A listening socket and the port it is bound to.
+struct Listener {
+  int fd = -1;
+  std::uint16_t port = 0;
+};
+
+/// Opens a nonblocking, close-on-exec IPv4 TCP socket with SO_REUSEADDR,
+/// binds it to address:port and listens. Port 0 asks the kernel for an
+/// ephemeral port; Listener::port is the one it chose. Throws
+/// std::runtime_error naming the call that failed.
+[[nodiscard]] Listener listen_tcp(in_addr address, std::uint16_t port);
 
 /// Per-loop observability counters, surfaced under "event_loops" on /stats.
 /// Relaxed atomics: statistics, not synchronization.

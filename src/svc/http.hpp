@@ -1,11 +1,12 @@
 // Minimal HTTP/1.1 over POSIX sockets — the service front end's wire layer.
 //
-// Deliberately tiny and dependency-free: blocking I/O, a strict request
-// parser (request line + headers + Content-Length body, bounded sizes), a
-// response serializer, and a keep-alive client used by the load generator,
-// the benches and the tests. No TLS, no chunked encoding, no pipelining —
-// the service speaks JSON over POST/GET with explicit Content-Length, which
-// is all `cloudwf serve` needs and all `cloudwf_load` generates.
+// Deliberately tiny and dependency-free: a strict incremental request
+// parser (request line + headers + Content-Length body, bounded sizes) that
+// the event loop runs after every read, a response serializer, and a
+// blocking keep-alive client used by the load generator, the sweep fabric,
+// the benches and the tests. No TLS, no chunked encoding — the service
+// speaks JSON or binary frames over POST/GET with explicit Content-Length,
+// which is all `cloudwf serve` needs and all `cloudwf_load` generates.
 #pragma once
 
 #include <cstdint>
@@ -47,21 +48,6 @@ struct HttpResponse {
 /// requested).
 [[nodiscard]] std::string serialize_response(const HttpResponse& response);
 
-/// Outcome of reading one request off a socket.
-enum class ReadStatus : std::uint8_t {
-  ok = 0,        ///< a complete request was parsed
-  closed = 1,    ///< peer closed (or shutdown) before any byte arrived
-  malformed = 2, ///< syntactically invalid request (connection unusable)
-  too_large = 3, ///< header block or body exceeded the limits
-  not_implemented = 4,  ///< valid HTTP the server refuses to speak (chunked)
-};
-
-struct ReadResult {
-  ReadStatus status = ReadStatus::closed;
-  HttpRequest request;       ///< valid when status == ok
-  std::string error;         ///< human-readable detail otherwise
-};
-
 /// Size limits for inbound requests (network input is untrusted).
 struct HttpLimits {
   std::size_t max_header_bytes = 16 * 1024;
@@ -87,22 +73,15 @@ struct ParseResult {
 /// Incremental request parser: examines `buffer` (the unconsumed inbound
 /// bytes of one connection) and either produces a complete request, asks
 /// for more bytes, or rejects the prefix. Pure function of the buffer —
-/// the event loop calls it after every read, and the blocking
-/// read_http_request is a recv() loop around it.
+/// the event loop calls it after every read.
 [[nodiscard]] ParseResult parse_http_request(std::string_view buffer,
                                              const HttpLimits& limits = {});
-
-/// Blocking read of one full request from `fd`. `carry` holds bytes already
-/// read past the previous request on this connection (keep-alive); leftover
-/// bytes after this request are written back into it.
-[[nodiscard]] ReadResult read_http_request(int fd, std::string& carry,
-                                           const HttpLimits& limits = {});
 
 /// Blocking write of the whole buffer; false on error/EPIPE.
 [[nodiscard]] bool write_all(int fd, std::string_view data);
 
-/// Parses a complete request held in memory (header block + body already
-/// assembled) — exposed for the unit tests; read_http_request uses it.
+/// Parses a complete header block held in memory — exposed for the unit
+/// tests; parse_http_request uses it.
 [[nodiscard]] std::optional<HttpRequest> parse_request_head(
     std::string_view head, std::string* error);
 

@@ -1,13 +1,9 @@
 #include "svc/server.hpp"
 
 #include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
@@ -87,44 +83,18 @@ Server::~Server() { stop(); }
 void Server::start() {
   if (started_) throw std::logic_error("Server::start called twice");
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0)
-    throw std::runtime_error("socket(): " + std::string(std::strerror(errno)));
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
+  in_addr address{};
+  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &address) != 1)
     throw std::runtime_error("bad bind address '" + config_.bind_address +
                              "' (expected IPv4 dotted quad)");
-  }
-  const bool loopback =
-      (ntohl(addr.sin_addr.s_addr) >> 24) == 127;  // 127.0.0.0/8
-  if (!loopback && config_.auth_token.empty()) {
-    ::close(fd);
+  const bool loopback = (ntohl(address.s_addr) >> 24) == 127;  // 127.0.0.0/8
+  if (!loopback && config_.auth_token.empty())
     throw std::runtime_error(
         "refusing to bind non-loopback address '" + config_.bind_address +
         "' without an auth token (set --auth-token)");
-  }
-  addr.sin_port = htons(config_.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("bind(port " + std::to_string(config_.port) +
-                             "): " + err);
-  }
-  if (::listen(fd, 256) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("listen(): " + err);
-  }
-
-  socklen_t len = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
+  const Listener listener = listen_tcp(address, config_.port);
+  port_ = listener.port;
+  listen_fd_ = listener.fd;
   started_ = true;
 
   // The server's count-only recorder becomes the process-global one: loop

@@ -37,8 +37,8 @@ enum class ScenarioKind : std::uint8_t {
   /// strategies that rent eagerly pay in both makespan and billed span.
   cold_start = 4,
   /// Pareto runtimes on a platform whose on-demand prices drift over time
-  /// (a mean-reverting multiplier path per instance size, the spot-market
-  /// process re-based around the list price): a strategy's cost depends on
+  /// (a mean-reverting multiplier path per instance size around the list
+  /// price): a strategy's cost depends on
   /// *when* it rents, not just for how long.
   variable_price = 5,
   /// Deadline/budget-constrained evaluation (Gajbhiye & Singh 1806.02397):

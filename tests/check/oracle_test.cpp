@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "cloud/billing.hpp"
 #include "dag/science.hpp"
 #include "exp/experiment.hpp"
 #include "scheduling/factory.hpp"
@@ -124,6 +125,29 @@ TEST(Oracle, BillingExactBtuBoundaryAgrees) {
   s.assign(0, vm, 0.0, 3600.0);
   const OracleReport report = check_schedule(wf, s, platform);
   EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(Oracle, StretchedPlacementIsBilledByItsSpan) {
+  // A one-BTU task held 210 s past its planned run (as a retried attempt
+  // would be): the pool bills the stretched span — two BTUs — exactly as
+  // cloud::rental_cost prices it, and the oracle's independent recompute
+  // agrees. Only the duration invariant breaks.
+  dag::Workflow wf{"stretched"};
+  (void)wf.add_task("t", 3600.0);
+  const cloud::Platform platform = cloud::Platform::ec2();
+  const util::Seconds span = 3600.0 + 7 * 30.0;
+  sim::Schedule s(wf);
+  const cloud::VmId vm = s.rent(cloud::InstanceSize::small, 0);
+  s.assign(0, vm, 0.0, span);
+  EXPECT_EQ(s.pool().rental_cost(platform.regions()),
+            cloud::rental_cost(span, cloud::InstanceSize::small,
+                               platform.region(0)));
+  EXPECT_EQ(s.pool().vm(vm).btus(), cloud::btus_for(span));
+  EXPECT_EQ(cloud::btus_for(span), 2);
+
+  const OracleReport report = check_schedule(wf, s, platform);
+  EXPECT_TRUE(has_violation(report, "duration"));
+  EXPECT_FALSE(has_violation(report, "billing")) << report.to_string();
 }
 
 TEST(Oracle, CleanStrategySchedulesPassEveryCheck) {

@@ -6,13 +6,18 @@
 #include "dist/coordinator.hpp"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -332,6 +337,72 @@ TEST(PullMode, LeaseEndpointSpeaksTheProtocol) {
   response = client.request("POST", "/v1/shard/result", "not json");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 400);
+
+  coordinator.stop();
+}
+
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// The coordinator holds at most kMaxConnections connections; the next one
+// is answered 503 and closed instead of costing it anything.
+TEST(PullMode, ConnectionBeyondTheCapIsAnswered503) {
+  CoordinatorServer coordinator(exp::partition_grid(test_grid(), 2), {});
+  coordinator.start();
+
+  std::vector<int> held;
+  for (std::size_t i = 0; i < CoordinatorServer::kMaxConnections; ++i) {
+    held.push_back(connect_loopback(coordinator.port()));
+    ASSERT_GE(held.back(), 0);
+  }
+  const int extra = connect_loopback(coordinator.port());
+  ASSERT_GE(extra, 0);
+  std::string answer;
+  char chunk[512];
+  for (ssize_t n; (n = ::recv(extra, chunk, sizeof chunk, 0)) > 0;)
+    answer.append(chunk, static_cast<std::size_t>(n));
+  ::close(extra);
+  EXPECT_EQ(answer.rfind("HTTP/1.1 503 ", 0), 0u) << answer;
+  EXPECT_NE(answer.find("connection limit reached"), std::string::npos);
+
+  for (const int fd : held) ::close(fd);
+  coordinator.stop();
+}
+
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// A worker that reconnects must not cost the coordinator anything that
+// outlives the connection (a thread per connection left one never-joined
+// 8 MiB stack and guard page behind per reconnect).
+TEST(PullMode, ReconnectsDoNotGrowTheProcess) {
+  CoordinatorServer coordinator(exp::partition_grid(test_grid(), 2), {});
+  coordinator.start();
+
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 50; ++i) {
+    svc::HttpClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", coordinator.port()));
+    const auto lease = client.request("POST", "/v1/shard/lease");
+    ASSERT_TRUE(lease.has_value());
+    client.disconnect();
+  }
+  EXPECT_LE(mapping_count(), before + 10);
 
   coordinator.stop();
 }

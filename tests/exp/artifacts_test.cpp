@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 
 #include "exp/report.hpp"
+#include "golden.hpp"
 #include "sim/gantt.hpp"
 
 namespace cloudwf::exp {
 namespace {
 
+const char* const kDigestPath = CLOUDWF_TEST_DATA_DIR "/artifacts.golden.digest";
+
+// The bundle behind `cloudwf artifacts` (Table II, Figs. 3-5, Tables
+// III-V and the full grid) is pinned byte for byte: every file's name and
+// content, in manifest order, hash into one committed digest.
 TEST(Artifacts, WritesEveryExpectedFile) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "cloudwf_artifacts_test";
@@ -48,7 +55,15 @@ TEST(Artifacts, WritesEveryExpectedFile) {
   EXPECT_NE(content.find("\"workflow\":\"montage\""), std::string::npos);
   EXPECT_NE(content.find("\"scenario\":\"worst-case\""), std::string::npos);
 
+  golden::Fnv1a digest;
+  for (const std::string& name : manifest.files) {
+    std::ifstream file(dir / name, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << file.rdbuf();
+    digest.add(name).add(std::string_view("\0", 1)).add(bytes.str());
+  }
   std::filesystem::remove_all(dir);
+  golden::expect_digest(kDigestPath, digest.hex(), "the artifact bundle");
 }
 
 TEST(ResultsJson, WellFormedPerRun) {

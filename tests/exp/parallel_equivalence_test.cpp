@@ -8,11 +8,10 @@
 #include <string>
 #include <vector>
 
-#include "exp/ensemble.hpp"
+#include "dag/builders.hpp"
 #include "exp/experiment.hpp"
 #include "exp/parallel.hpp"
 #include "exp/seed_sweep.hpp"
-#include "exp/sweeps.hpp"
 #include "obs/trace.hpp"
 
 namespace cloudwf::exp {
@@ -100,50 +99,53 @@ TEST(ParallelEquivalence, RunGridMatchesParallelGridOnThePool) {
 }
 
 TEST(ParallelEquivalence, SizeSweepAnyWorkerCount) {
+  // One job per Montage size, every job running all strategies through one
+  // shared read-only runner.
   const std::vector<std::size_t> sizes = {4, 6, 10};
-  const auto serial = montage_size_sweep(sizes, 0x1db2013, ParallelConfig{1});
-  const std::string golden = size_sweep_table(serial).render();
-  for (const ParallelConfig& cfg : kConfigs)
-    EXPECT_EQ(size_sweep_table(montage_size_sweep(sizes, 0x1db2013, cfg))
-                  .render(),
-              golden)
-        << "threads=" << cfg.threads;
+  workload::ScenarioConfig scenario;
+  scenario.seed = 0x1db2013;
+  const ExperimentRunner runner(cloud::Platform::ec2(), scenario,
+                                ParallelConfig::serial());
+  const auto sweep = [&](const ParallelConfig& cfg) {
+    return parallel_map(sizes.size(), cfg, [&](std::size_t j) {
+      return runner.run_all(dag::builders::montage(sizes[j]),
+                            workload::ScenarioKind::pareto);
+    });
+  };
+  const auto serial = sweep(ParallelConfig{1});
+  for (const ParallelConfig& cfg : kConfigs) {
+    const auto rows = sweep(cfg);
+    ASSERT_EQ(rows.size(), serial.size());
+    for (std::size_t j = 0; j < rows.size(); ++j)
+      expect_identical_runs(serial[j], rows[j],
+                            "montage(" + std::to_string(sizes[j]) +
+                                ") threads=" + std::to_string(cfg.threads));
+  }
 }
 
 TEST(ParallelEquivalence, HeterogeneitySweepAnyWorkerCount) {
+  // One job per Pareto shape of the execution times; each job builds its own
+  // runner inside the worker, so no RNG state is shared between jobs.
   const std::vector<double> alphas = {1.3, 2.0, 4.0};
-  const auto serial = heterogeneity_sweep(alphas, 0x1db2013, ParallelConfig{1});
-  const std::string golden = heterogeneity_table(serial).render();
-  for (const ParallelConfig& cfg : kConfigs)
-    EXPECT_EQ(heterogeneity_table(heterogeneity_sweep(alphas, 0x1db2013, cfg))
-                  .render(),
-              golden)
-        << "threads=" << cfg.threads;
-}
-
-TEST(ParallelEquivalence, EnsembleStudyAnyWorkerCount) {
-  namespace nd = dag::nondet;
-  const nd::NodePtr tree = nd::sequence(
-      {nd::task("setup", 300.0),
-       nd::loop(nd::choice({{0.6, nd::task("light", 400.0)},
-                            {0.4, nd::parallel({nd::task("heavy0", 900.0),
-                                                nd::task("heavy1", 1100.0)})}}),
-                1, 3),
-       nd::task("teardown", 200.0)});
-  const cloud::Platform platform = cloud::Platform::ec2();
-  const scheduling::Strategy strat =
-      scheduling::strategy_by_label("AllParExceed-s");
-  const EnsembleStats serial =
-      ensemble_study(tree, strat, platform, 24, 99, ParallelConfig{1});
+  const auto sweep = [&](const ParallelConfig& cfg) {
+    return parallel_map(alphas.size(), cfg, [&](std::size_t j) {
+      workload::ScenarioConfig scenario;
+      scenario.seed = 0x1db2013;
+      scenario.exec_shape = alphas[j];
+      const ExperimentRunner runner(cloud::Platform::ec2(), scenario,
+                                    ParallelConfig::serial());
+      return runner.run_all(dag::builders::montage24(),
+                            workload::ScenarioKind::pareto);
+    });
+  };
+  const auto serial = sweep(ParallelConfig{1});
   for (const ParallelConfig& cfg : kConfigs) {
-    const EnsembleStats parallel =
-        ensemble_study(tree, strat, platform, 24, 99, cfg);
-    EXPECT_EQ(serial.makespan.mean, parallel.makespan.mean);
-    EXPECT_EQ(serial.makespan.stddev, parallel.makespan.stddev);
-    EXPECT_EQ(serial.cost_dollars.mean, parallel.cost_dollars.mean);
-    EXPECT_EQ(serial.idle.mean, parallel.idle.mean);
-    EXPECT_EQ(serial.tasks.min, parallel.tasks.min);
-    EXPECT_EQ(serial.tasks.max, parallel.tasks.max);
+    const auto rows = sweep(cfg);
+    ASSERT_EQ(rows.size(), serial.size());
+    for (std::size_t j = 0; j < rows.size(); ++j)
+      expect_identical_runs(serial[j], rows[j],
+                            "alpha=" + std::to_string(alphas[j]) +
+                                " threads=" + std::to_string(cfg.threads));
   }
 }
 
@@ -185,8 +187,14 @@ TEST(ParallelEquivalence, TracingEnabledPreservesEquivalenceAndCounters) {
 TEST(ParallelEquivalence, ExceptionsSurfaceFromWorkerJobs) {
   // montage(n) rejects odd n; the throw must cross the pool boundary intact
   // whichever worker hits it.
+  const std::vector<std::size_t> projections = {4, 5, 6};
   for (const ParallelConfig& cfg : kConfigs)
-    EXPECT_THROW((void)montage_size_sweep({4, 5, 6}, 0x1db2013, cfg),
+    EXPECT_THROW((void)parallel_map(projections.size(), cfg,
+                                    [&](std::size_t j) {
+                                      return dag::builders::montage(
+                                                 projections[j])
+                                          .task_count();
+                                    }),
                  std::invalid_argument)
         << "threads=" << cfg.threads;
 }

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "exp/planner.hpp"
-#include "exp/spot_study.hpp"
 
 namespace cloudwf::exp {
 namespace {
@@ -75,45 +74,6 @@ TEST(Planner, BaselinesWidenThePortfolio) {
   const PlanOutcome b = plan(runner(), paper_workflows()[3], without);
   EXPECT_GT(a.evaluated.size(), b.evaluated.size());
   EXPECT_EQ(b.evaluated.size(), 19u);
-}
-
-TEST(SpotStudy, CoversPortfolioWithSaneEconomics) {
-  const auto rows = spot_study(runner(), paper_workflows()[1]);  // cstem
-  ASSERT_EQ(rows.size(), 19u);
-  for (const SpotStudyRow& r : rows) {
-    EXPECT_GT(r.on_demand_cost, util::Money{}) << r.strategy;
-    EXPECT_GT(r.spot_cost, util::Money{}) << r.strategy;
-    // Spot clears well below on-demand on average.
-    EXPECT_GT(r.savings_pct, 0.0) << r.strategy;
-    EXPECT_GE(r.evictions_expected, 0.0);
-    EXPECT_GE(r.makespan_spot, r.makespan_clean - 1e-6) << r.strategy;
-  }
-  EXPECT_EQ(spot_study_table(rows).rows(), rows.size());
-}
-
-TEST(SpotStudy, HigherBidReducesEvictions) {
-  SpotStudyConfig low;
-  low.bid_fraction = 0.30;
-  low.replay_reps = 2;
-  SpotStudyConfig high = low;
-  high.bid_fraction = 1.2;
-
-  const auto rows_low = spot_study(runner(), paper_workflows()[1], low);
-  const auto rows_high = spot_study(runner(), paper_workflows()[1], high);
-  double ev_low = 0;
-  double ev_high = 0;
-  for (std::size_t i = 0; i < rows_low.size(); ++i) {
-    ev_low += rows_low[i].evictions_expected;
-    ev_high += rows_high[i].evictions_expected;
-  }
-  EXPECT_GT(ev_low, ev_high);
-}
-
-TEST(SpotStudy, RejectsBadBid) {
-  SpotStudyConfig bad;
-  bad.bid_fraction = 0.0;
-  EXPECT_THROW((void)spot_study(runner(), paper_workflows()[1], bad),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,13 +1,21 @@
-// Wire-layer tests: strict request parsing, response serialization, and
-// socket reads (keep-alive carry, pipelining, size limits) exercised over a
-// socketpair so no port is bound.
+// Wire-layer tests: strict request parsing (whole head and incremental,
+// with pipelining and size limits), response serialization, and the event
+// loop's socket reads (pipelined leftovers, size limits, protocol errors
+// answered with their status) over one loopback connection. The full
+// server's socket paths are tested in service_test.cpp.
 #include "svc/http.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <memory>
 #include <string>
+
+#include "svc/event_loop.hpp"
 
 namespace cloudwf::svc {
 namespace {
@@ -79,79 +87,123 @@ TEST(HttpSerialize, ReasonPhrasesForServiceStatuses) {
   EXPECT_EQ(reason_phrase(504), "Gateway Timeout");
 }
 
+// A connected socket pair: the test writes raw bytes into the client end,
+// and one EventLoop reads the accepted end and echoes each request as
+// "METHOD TARGET BODY". A rejected request is answered with its status and
+// the loop then closes the connection, so read_to_close() returns
+// everything the loop wrote.
 class SocketPairTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0);
+  void start_loop(const HttpLimits& limits = {}) {
+    in_addr loopback{};
+    loopback.s_addr = htonl(INADDR_LOOPBACK);
+    listener_ = listen_tcp(loopback, 0);
+    EventLoop::Config config;
+    config.listen_fd = listener_.fd;
+    config.limits = limits;
+    loop_ = std::make_unique<EventLoop>(
+        config, [](HttpRequest&& request, HttpResponse& sync,
+                   EventLoop::Completion) {
+          sync.content_type = "text/plain";
+          sync.body =
+              request.method + " " + request.target + " " + request.body;
+          return true;
+        });
+    loop_->start();
+
+    client_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(client_, 0);
+    // A loop that never answers or never closes fails the read below
+    // instead of hanging it.
+    const timeval timeout{10, 0};
+    ::setsockopt(client_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr = loopback;
+    addr.sin_port = htons(listener_.port);
+    ASSERT_EQ(::connect(client_, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof addr),
+              0);
   }
   void TearDown() override {
-    for (const int fd : fds_)
-      if (fd >= 0) ::close(fd);
+    if (client_ >= 0) ::close(client_);
+    loop_.reset();  // drains and joins the loop thread
+    if (listener_.fd >= 0) ::close(listener_.fd);
   }
-  void close_writer() {
-    ::close(fds_[1]);
-    fds_[1] = -1;
-  }
+  void close_writer() { ASSERT_EQ(::shutdown(client_, SHUT_WR), 0); }
   void send_all(const std::string& data) {
-    ASSERT_EQ(::send(fds_[1], data.data(), data.size(), 0),
+    ASSERT_EQ(::send(client_, data.data(), data.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(data.size()));
   }
+  std::string read_to_close() {
+    std::string wire;
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(client_, chunk, sizeof chunk, 0)) > 0)
+      wire.append(chunk, static_cast<std::size_t>(n));
+    EXPECT_EQ(n, 0) << "the loop did not close the connection";
+    return wire;
+  }
+  static std::string echo(const std::string& body) {
+    HttpResponse response;
+    response.content_type = "text/plain";
+    response.body = body;
+    return serialize_response(response);
+  }
 
-  int fds_[2] = {-1, -1};
+  Listener listener_;
+  std::unique_ptr<EventLoop> loop_;
+  int client_ = -1;
 };
 
 TEST_F(SocketPairTest, ReadsBodyAndKeepsPipelinedLeftovers) {
+  start_loop();
   const std::string first =
       "POST /v1/evaluate HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd";
   const std::string second = "GET /health HTTP/1.1\r\n\r\n";
-  send_all(first + second);
+  send_all(first + second);  // both requests arrive in the same read
   close_writer();
 
-  std::string carry;
-  ReadResult one = read_http_request(fds_[0], carry);
-  ASSERT_EQ(one.status, ReadStatus::ok) << one.error;
-  EXPECT_EQ(one.request.body, "abcd");
-  EXPECT_FALSE(carry.empty());  // the second request arrived in the same read
-
-  ReadResult two = read_http_request(fds_[0], carry);
-  ASSERT_EQ(two.status, ReadStatus::ok) << two.error;
-  EXPECT_EQ(two.request.target, "/health");
-  EXPECT_TRUE(carry.empty());
-
-  EXPECT_EQ(read_http_request(fds_[0], carry).status, ReadStatus::closed);
+  // Both answered in order on the kept-alive connection, then closed at EOF.
+  EXPECT_EQ(read_to_close(),
+            echo("POST /v1/evaluate abcd") + echo("GET /health "));
 }
 
 TEST_F(SocketPairTest, RejectsOversizedDeclaredBody) {
   HttpLimits limits;
   limits.max_body_bytes = 16;
+  start_loop(limits);
   send_all("POST /v1/evaluate HTTP/1.1\r\nContent-Length: 17\r\n\r\n");
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry, limits).status,
-            ReadStatus::too_large);
+  const std::string wire = read_to_close();
+  EXPECT_EQ(wire.rfind("HTTP/1.1 413 ", 0), 0u) << wire;
 }
 
 TEST_F(SocketPairTest, RejectsOversizedHeaderBlock) {
   HttpLimits limits;
   limits.max_header_bytes = 64;
-  // No blank-line terminator: the reader must give up once the accumulated
+  start_loop(limits);
+  // No blank-line terminator: the loop must give up once the accumulated
   // header block passes the limit instead of buffering forever.
   send_all("GET / HTTP/1.1\r\nX-Pad: " + std::string(128, 'x'));
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry, limits).status,
-            ReadStatus::too_large);
+  const std::string wire = read_to_close();
+  EXPECT_EQ(wire.rfind("HTTP/1.1 413 ", 0), 0u) << wire;
 }
 
 TEST_F(SocketPairTest, MalformedContentLengthIsRejected) {
+  start_loop();
   send_all("POST / HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n");
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry).status, ReadStatus::malformed);
+  const std::string wire = read_to_close();
+  EXPECT_EQ(wire.rfind("HTTP/1.1 400 ", 0), 0u) << wire;
 }
 
 TEST_F(SocketPairTest, PeerCloseMidBodyIsMalformed) {
+  start_loop();
   send_all("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nhalf");
   close_writer();
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry).status, ReadStatus::malformed);
+  const std::string wire = read_to_close();
+  EXPECT_EQ(wire.rfind("HTTP/1.1 400 ", 0), 0u) << wire;
+  EXPECT_NE(wire.find("connection closed mid-body"), std::string::npos)
+      << wire;
 }
 
 // --- regressions found by the fuzz/correctness harness (PR 5) ---
@@ -174,27 +226,30 @@ TEST(HttpParse, RejectsDuplicateHeaders) {
 TEST_F(SocketPairTest, RejectsTransferEncodingAsNotImplemented) {
   // Pre-fix: Transfer-Encoding was ignored, so the chunked body bytes stayed
   // in the buffer and were parsed as the next pipelined request.
+  start_loop();
   send_all(
       "POST /v1/evaluate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
       "4\r\nabcd\r\n0\r\n\r\n");
-  std::string carry;
-  const ReadResult r = read_http_request(fds_[0], carry);
-  EXPECT_EQ(r.status, ReadStatus::not_implemented);
-  EXPECT_NE(r.error.find("Transfer-Encoding"), std::string::npos);
+  const std::string wire = read_to_close();
+  EXPECT_EQ(wire.rfind("HTTP/1.1 501 ", 0), 0u) << wire;
+  EXPECT_NE(wire.find("Transfer-Encoding"), std::string::npos) << wire;
 }
 
 TEST_F(SocketPairTest, EmptyContentLengthIsMalformedNotZero) {
+  start_loop();
   send_all("POST / HTTP/1.1\r\nContent-Length:\r\n\r\n");
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry).status, ReadStatus::malformed);
+  const std::string wire = read_to_close();
+  EXPECT_EQ(wire.rfind("HTTP/1.1 400 ", 0), 0u) << wire;
 }
 
 TEST_F(SocketPairTest, HugeContentLengthCannotOverflow) {
   // 20 digits overflow std::size_t if accumulated naively; the limit check
   // inside the digit loop must fire before any wraparound.
-  send_all("POST / HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n");
-  std::string carry;
-  EXPECT_EQ(read_http_request(fds_[0], carry).status, ReadStatus::too_large);
+  start_loop();
+  send_all(
+      "POST / HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n");
+  const std::string wire = read_to_close();
+  EXPECT_EQ(wire.rfind("HTTP/1.1 413 ", 0), 0u) << wire;
 }
 
 TEST(HttpSerialize, NotImplementedReasonPhrase) {
@@ -243,6 +298,16 @@ TEST(HttpIncremental, RejectionsMapToTheirStatuses) {
                 "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
                 .status,
             ParseStatus::not_implemented);
+  // An empty Content-Length value is malformed, not zero.
+  EXPECT_EQ(parse_http_request("POST / HTTP/1.1\r\nContent-Length:\r\n\r\n")
+                .status,
+            ParseStatus::malformed);
+  // 20 digits overflow std::size_t if accumulated naively; the limit check
+  // inside the digit loop must fire before any wraparound.
+  EXPECT_EQ(parse_http_request("POST / HTTP/1.1\r\n"
+                               "Content-Length: 99999999999999999999\r\n\r\n")
+                .status,
+            ParseStatus::too_large);
 
   HttpLimits limits;
   limits.max_body_bytes = 8;
@@ -257,6 +322,14 @@ TEST(HttpIncremental, RejectionsMapToTheirStatuses) {
                          limits)
           .status,
       ParseStatus::too_large);
+  // So must one that arrived whole: the same bytes split over two reads
+  // would have failed above.
+  EXPECT_EQ(parse_http_request(
+                "GET / HTTP/1.1\r\nX-Pad: " + std::string(64, 'x') +
+                    "\r\n\r\n",
+                limits)
+                .status,
+            ParseStatus::too_large);
 }
 
 TEST(HttpIncremental, AgreesWithBlockingReaderOnABody) {

@@ -5,6 +5,9 @@
 #include "svc/server.hpp"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <latch>
@@ -75,6 +78,34 @@ TEST_F(ServiceTest, RoutingErrors) {
   response = client_.request("GET", "/v1/evaluate");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 405);
+}
+
+// A peer that half-closes inside a declared body gets a 400 naming the
+// truncation, not silence.
+TEST_F(ServiceTest, PeerCloseMidBodyAnswers400) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server_->port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+
+  const std::string partial =
+      "POST /v1/evaluate HTTP/1.1\r\nContent-Length: 10\r\n\r\nhalf";
+  ASSERT_EQ(::send(fd, partial.data(), partial.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(partial.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+  std::string answer;
+  char chunk[4096];
+  for (ssize_t n; (n = ::recv(fd, chunk, sizeof chunk, 0)) > 0;)
+    answer.append(chunk, static_cast<std::size_t>(n));
+  ::close(fd);
+
+  EXPECT_EQ(answer.rfind("HTTP/1.1 400 ", 0), 0u) << answer;
+  EXPECT_NE(answer.find("connection closed mid-body"), std::string::npos)
+      << answer;
 }
 
 TEST_F(ServiceTest, MalformedJsonAnswers400WithByteOffset) {

@@ -253,8 +253,10 @@ int cmd_run(const Args& args) {
               << sim::vm_report_table(sim::vm_report(schedule, platform));
   if (args.flag("csv")) std::cout << '\n' << sim::gantt_csv(wf, schedule);
   if (const auto dot = args.option("dot")) {
-    dag::save_workflow(wf, *dot + ".wf");
-    std::cout << "\nwrote " << *dot << ".wf\n";
+    std::ofstream file(*dot);
+    file << dag::to_dot(wf);
+    if (!file) throw std::runtime_error("cannot write " + *dot);
+    std::cout << "\nwrote " << *dot << '\n';
   }
   return 0;
 }
