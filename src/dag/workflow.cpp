@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "dag/structure_cache.hpp"
+#include "obs/work.hpp"
 
 namespace cloudwf::dag {
 
@@ -64,7 +65,8 @@ const Task& Workflow::task(TaskId id) const {
 Task& Workflow::task(TaskId id) {
   check_task(id);
   // Handing out a mutable Task lets callers change work/output_data, which
-  // feed the cached largest-predecessor, rank and edge-data tables.
+  // feed the cached largest-predecessor, rank and edge-data tables, and the
+  // name and work that validate()'s verdict covers.
   structure_cache_.reset();
   return tasks_[id];
 }
@@ -145,6 +147,8 @@ bool Workflow::is_acyclic() const {
 }
 
 void Workflow::validate() const {
+  if (structure_cache_.validated()) return;
+  obs::add_work(obs::Work::workflow_checks, 1);
   if (tasks_.empty()) throw std::logic_error("workflow '" + name_ + "' is empty");
   std::unordered_set<std::string> names;
   for (const Task& t : tasks_) {
@@ -158,6 +162,7 @@ void Workflow::validate() const {
                              t.name + "'");
   }
   if (!is_acyclic()) throw std::logic_error("workflow '" + name_ + "' has a cycle");
+  structure_cache_.set_validated();
 }
 
 void Workflow::check_task(TaskId id) const {

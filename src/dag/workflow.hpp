@@ -5,6 +5,7 @@
 // dag/builders.hpp; random instances come from dag/generators.hpp.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -22,22 +23,28 @@ class StructureCache;
 
 namespace detail {
 
-/// Copyable, thread-safe holder for a workflow's lazily built
-/// StructureCache. Copies share the built cache (the structure is equal by
-/// construction); resetting one holder never disturbs another's pointer.
+/// Copyable, thread-safe holder for what a workflow derives from its own
+/// state: the lazily built StructureCache and the verdict of a passed
+/// validate(). Copies share the built cache (the structure is equal by
+/// construction) and carry the verdict; a move leaves the source with
+/// neither, like the emptied workflow it belongs to. Resetting one holder
+/// never disturbs another's.
 class StructureCacheSlot {
  public:
   StructureCacheSlot() = default;
-  StructureCacheSlot(const StructureCacheSlot& other) : ptr_(other.get()) {}
-  StructureCacheSlot(StructureCacheSlot&& other) noexcept : ptr_(other.get()) {}
+  StructureCacheSlot(const StructureCacheSlot& other)
+      : ptr_(other.get()), validated_(other.validated()) {}
+  StructureCacheSlot(StructureCacheSlot&& other) noexcept
+      : ptr_(other.release()), validated_(other.validated_.exchange(false)) {}
   StructureCacheSlot& operator=(const StructureCacheSlot& other) {
-    auto p = other.get();  // lock ordering: never hold both mutexes
-    std::scoped_lock lock(mu_);
-    ptr_ = std::move(p);
+    store(other.get(), other.validated());
     return *this;
   }
   StructureCacheSlot& operator=(StructureCacheSlot&& other) noexcept {
-    if (this != &other) *this = other;
+    if (this != &other) {
+      const bool validated = other.validated_.exchange(false);
+      store(other.release(), validated);
+    }
     return *this;
   }
 
@@ -55,14 +62,36 @@ class StructureCacheSlot {
     return ptr_;
   }
 
+  /// True once validate() has passed on the workflow's current state.
+  [[nodiscard]] bool validated() const noexcept {
+    return validated_.load(std::memory_order_acquire);
+  }
+  void set_validated() const noexcept {
+    validated_.store(true, std::memory_order_release);
+  }
+
+  /// Drops the cache and the verdict: the workflow changed.
   void reset() noexcept {
     std::scoped_lock lock(mu_);
     ptr_.reset();
+    validated_.store(false, std::memory_order_release);
   }
 
  private:
+  void store(std::shared_ptr<const StructureCache> p, bool validated) {
+    std::scoped_lock lock(mu_);  // lock ordering: never hold both mutexes
+    ptr_ = std::move(p);
+    validated_.store(validated, std::memory_order_release);
+  }
+  std::shared_ptr<const StructureCache> release() noexcept {
+    std::scoped_lock lock(mu_);
+    return std::move(ptr_);
+  }
+
   mutable std::mutex mu_;
   mutable std::shared_ptr<const StructureCache> ptr_;
+  // Atomic: a resident workflow is validated by many workers at once.
+  mutable std::atomic<bool> validated_{false};
 };
 
 }  // namespace detail
@@ -136,6 +165,10 @@ class Workflow {
 
   /// Throws std::logic_error describing the first structural defect found
   /// (empty graph, unnamed/duplicate-named tasks, non-positive work, cycle).
+  /// The verdict is kept per workflow state: once the checks pass, later
+  /// calls return at once until add_task, add_edge or the mutable task()
+  /// clears it. Copies carry it; a moved-from workflow has none. A failing
+  /// workflow runs its checks, and throws the same text, on every call.
   void validate() const;
 
   /// The structure-derived tables (adjacency CSR, topo order, levels, HEFT

@@ -54,6 +54,8 @@ std::string_view name_of(Work w) noexcept {
       return "reuse_slots_moved";
     case Work::reuse_vms_examined:
       return "reuse_vms_examined";
+    case Work::workflow_checks:
+      return "workflow_checks";
   }
   return "?";
 }

@@ -23,8 +23,11 @@ enum class Work : std::uint8_t {
   /// VMs that a NotExceed AllPar reuse query tested
   /// (PlacementContext::best_parallel_reuse); VMs its index skips are not.
   reuse_vms_examined = 1,
+  /// Workflow::validate() calls that ran their checks; a call answered by
+  /// the workflow's kept verdict is not counted.
+  workflow_checks = 2,
 };
-inline constexpr std::size_t kWorkCount = 2;
+inline constexpr std::size_t kWorkCount = 3;
 
 [[nodiscard]] std::string_view name_of(Work w) noexcept;
 

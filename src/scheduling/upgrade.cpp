@@ -47,17 +47,7 @@ sim::ScheduleMetrics metrics_one_vm_per_task(
 
 OneVmPerTaskRetimer::OneVmPerTaskRetimer(const dag::Workflow& wf,
                                          const cloud::Platform& platform)
-    : wf_(&wf),
-      platform_(&platform),
-      structure_(wf.structure()),
-      scratch_(wf) {
-  // Scratch rents/placements are search work, not schedule construction —
-  // keep them out of the trace so the placement counters still describe the
-  // schedule being built (the accepted/rejected upgrades are traced by the
-  // algorithms themselves via emit_upgrade).
-  const obs::SuppressRecording quiet;
-  for (std::size_t i = 0; i < wf.task_count(); ++i)
-    (void)scratch_.rent(cloud::InstanceSize::small, platform.default_region_id());
+    : wf_(&wf), platform_(&platform), structure_(wf.structure()) {
   transfer_.assign(structure_->edge_count() * kSizePairs, -1.0);
 }
 
@@ -65,7 +55,7 @@ sim::ScheduleMetrics OneVmPerTaskRetimer::metrics(
     std::span<const cloud::InstanceSize> sizes) {
   const obs::SuppressRecording quiet;
   retime(sizes);
-  return sim::compute_metrics(*wf_, scratch_, *platform_);
+  return sim::compute_metrics(*wf_, *scratch_, *platform_);
 }
 
 util::Money OneVmPerTaskRetimer::cost(
@@ -75,7 +65,7 @@ util::Money OneVmPerTaskRetimer::cost(
   // compute_metrics' total_cost is vm_cost + egress_cost; every scratch VM
   // lives in the default region, so egress is exactly Money{} and the same
   // rental_cost call is the whole total.
-  return std::as_const(scratch_).pool().rental_cost(platform_->regions());
+  return std::as_const(*scratch_).pool().rental_cost(platform_->regions());
 }
 
 void OneVmPerTaskRetimer::prime(std::span<const cloud::InstanceSize> sizes) {
@@ -197,8 +187,20 @@ void OneVmPerTaskRetimer::retime(std::span<const cloud::InstanceSize> sizes) {
   if (sizes.size() != wf_->task_count())
     throw std::invalid_argument("OneVmPerTaskRetimer: size vector mismatch");
 
-  scratch_.clear_assignments();
-  cloud::VmPool& pool = scratch_.pool();
+  if (!scratch_) {
+    // Scratch rents/placements are search work, not schedule construction —
+    // keep them out of the trace so the placement counters still describe
+    // the schedule being built (the accepted/rejected upgrades are traced by
+    // the algorithms themselves via emit_upgrade).
+    const obs::SuppressRecording quiet;
+    scratch_.emplace(*wf_);
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+      (void)scratch_->rent(cloud::InstanceSize::small,
+                           platform_->default_region_id());
+  }
+  sim::Schedule& scratch = *scratch_;
+  scratch.clear_assignments();
+  cloud::VmPool& pool = scratch.pool();
   for (std::size_t i = 0; i < sizes.size(); ++i)
     pool.vm(static_cast<cloud::VmId>(i)).set_size(sizes[i]);
 
@@ -214,7 +216,7 @@ void OneVmPerTaskRetimer::retime(std::span<const cloud::InstanceSize> sizes) {
     const std::span<const util::Gigabytes> data = structure_->pred_data(t);
     const std::size_t slot_base = structure_->pred_edge_slot(t);
     for (std::size_t k = 0; k < preds.size(); ++k) {
-      const sim::Assignment& pa = scratch_.assignment(preds[k]);
+      const sim::Assignment& pa = scratch.assignment(preds[k]);
       util::Seconds& slot =
           transfer_[(slot_base + k) * kSizePairs +
                     cloud::index_of(cpool.vm(pa.vm).size()) * cloud::kSizeCount +
@@ -223,8 +225,8 @@ void OneVmPerTaskRetimer::retime(std::span<const cloud::InstanceSize> sizes) {
         slot = platform_->transfer_time(data[k], cpool.vm(pa.vm), vm);
       est = std::max(est, pa.end + slot);
     }
-    scratch_.assign(t, vm.id(), est,
-                    est + cloud::exec_time(wf_->task(t).work, vm.size()));
+    scratch.assign(t, vm.id(), est,
+                   est + cloud::exec_time(wf_->task(t).work, vm.size()));
   }
 }
 

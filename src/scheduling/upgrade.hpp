@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <queue>
 #include <span>
 #include <vector>
@@ -35,9 +36,11 @@ namespace cloudwf::scheduling {
 /// Reusable scratch for the upgrade loops: CPA-Eager and GAIN evaluate
 /// metrics_one_vm_per_task once per candidate upgrade, which used to build
 /// a fresh Schedule (N VM rentals, N placement vectors) every time. The
-/// retimer keeps one scratch schedule and a per-edge transfer-time memo —
-/// after warm-up a candidate evaluation allocates nothing. Results are
-/// bit-identical to metrics_one_vm_per_task.
+/// retimer keeps a per-edge transfer-time memo and, from the first full
+/// retime (metrics() or cost()) on, one scratch schedule — after warm-up a
+/// candidate evaluation allocates nothing. The incremental interface never
+/// builds the scratch schedule. Results are bit-identical to
+/// metrics_one_vm_per_task.
 class OneVmPerTaskRetimer {
  public:
   OneVmPerTaskRetimer(const dag::Workflow& wf, const cloud::Platform& platform);
@@ -95,7 +98,7 @@ class OneVmPerTaskRetimer {
   const dag::Workflow* wf_;
   const cloud::Platform* platform_;
   std::shared_ptr<const dag::StructureCache> structure_;
-  sim::Schedule scratch_;
+  std::optional<sim::Schedule> scratch_;  // built by the first retime()
   std::vector<util::Seconds> transfer_;  // per (edge slot, size pair); <0 empty
 
   // Incremental state, valid after prime().

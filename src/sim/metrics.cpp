@@ -1,5 +1,6 @@
 #include "sim/metrics.hpp"
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -15,16 +16,22 @@ ScheduleMetrics compute_metrics(const dag::Workflow& wf, const Schedule& schedul
   ScheduleMetrics m;
   m.makespan = schedule.makespan();
 
+  // One pass over the pool. Each aggregate is summed in VM order, as the
+  // per-aggregate pool helpers (used_count, rental_cost, total_idle_time)
+  // sum it, so every value is bitwise theirs.
   const cloud::VmPool& pool = schedule.pool();
-  m.vms_used = pool.used_count();
-
+  const std::vector<cloud::Vm>& vms = pool.vms();
+  const cloud::RegionId first_region = vms.empty() ? 0 : vms.front().region();
+  bool one_region = true;
   util::Seconds paid = 0;
   if (platform.scenario_billing_active()) {
     // Timing-aware billing (cold-start / variable-price scenarios): every
     // aggregate that involves paid time comes from cloud::vm_bill, so the
     // cold-start span and per-BTU repricing show up in cost, idle and
     // utilization alike.
-    for (const cloud::Vm& v : pool.vms()) {
+    for (const cloud::Vm& v : vms) {
+      if (v.used()) ++m.vms_used;
+      one_region = one_region && v.region() == first_region;
       const cloud::VmBill bill = cloud::vm_bill(v, platform);
       m.vm_cost += bill.cost;
       m.total_busy += v.busy_time();
@@ -33,9 +40,12 @@ ScheduleMetrics compute_metrics(const dag::Workflow& wf, const Schedule& schedul
     }
     m.total_idle = paid - m.total_busy;
   } else {
-    m.vm_cost = pool.rental_cost(platform.regions());
-    m.total_idle = pool.total_idle_time();
-    for (const cloud::Vm& v : pool.vms()) {
+    const std::span<const cloud::Region> regions = platform.regions();
+    for (const cloud::Vm& v : vms) {
+      if (v.used()) ++m.vms_used;
+      one_region = one_region && v.region() == first_region;
+      m.vm_cost += v.cost(regions[v.region()]);
+      m.total_idle += v.idle_time();
       m.total_busy += v.busy_time();
       m.total_btus += v.btus();
       paid += v.paid_time();
@@ -44,14 +54,18 @@ ScheduleMetrics compute_metrics(const dag::Workflow& wf, const Schedule& schedul
   m.utilization = paid > 0 ? m.total_busy / paid : 0.0;
 
   // Egress: data leaving a region is billed at the source region's rate.
+  // Only an edge between two regions adds to a bucket, so with every VM in
+  // one region the buckets all stay 0 and the edges need no walk.
   std::vector<util::Gigabytes> egress_by_region(platform.regions().size(), 0.0);
-  for (const dag::Edge& e : wf.edges()) {
-    const Assignment& from = schedule.assignment(e.from);
-    const Assignment& to = schedule.assignment(e.to);
-    const cloud::Vm& vf = pool.vm(from.vm);
-    const cloud::Vm& vt = pool.vm(to.vm);
-    if (vf.region() != vt.region())
-      egress_by_region[vf.region()] += wf.edge_data(e.from, e.to);
+  if (!one_region) {
+    for (const dag::Edge& e : wf.edges()) {
+      const Assignment& from = schedule.assignment(e.from);
+      const Assignment& to = schedule.assignment(e.to);
+      const cloud::Vm& vf = pool.vm(from.vm);
+      const cloud::Vm& vt = pool.vm(to.vm);
+      if (vf.region() != vt.region())
+        egress_by_region[vf.region()] += wf.edge_data(e);
+    }
   }
   for (std::size_t r = 0; r < egress_by_region.size(); ++r) {
     m.egress_cost += cloud::egress_cost(egress_by_region[r],

@@ -1,6 +1,7 @@
 #include "sim/validator.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 namespace cloudwf::sim {
@@ -8,6 +9,12 @@ namespace cloudwf::sim {
 namespace {
 std::string describe_task(const dag::Workflow& wf, dag::TaskId t) {
   return "task '" + wf.task(t).name + "' (#" + std::to_string(t) + ")";
+}
+
+bool starts_strictly_ascend(std::span<const cloud::Placement> ps) {
+  for (std::size_t i = 1; i < ps.size(); ++i)
+    if (!(ps[i - 1].start < ps[i].start)) return false;
+  return true;
 }
 }  // namespace
 
@@ -68,12 +75,19 @@ std::vector<std::string> validate(const dag::Workflow& wf, const Schedule& sched
              " placements for " + std::to_string(wf.task_count()) + " tasks");
 
   // Exclusivity: placements on one VM must not overlap (sorted by start).
+  // A timeline whose starts strictly ascend is already the one order a sort
+  // can produce, so it is walked in place; any other is copied and sorted.
+  std::vector<cloud::Placement> sorted;
   for (const cloud::Vm& vm : pool.vms()) {
-    std::vector<cloud::Placement> ps(vm.placements());
-    std::sort(ps.begin(), ps.end(),
-              [](const cloud::Placement& x, const cloud::Placement& y) {
-                return x.start < y.start;
-              });
+    std::span<const cloud::Placement> ps = vm.placements();
+    if (!starts_strictly_ascend(ps)) {
+      sorted.assign(ps.begin(), ps.end());
+      std::sort(sorted.begin(), sorted.end(),
+                [](const cloud::Placement& x, const cloud::Placement& y) {
+                  return x.start < y.start;
+                });
+      ps = sorted;
+    }
     for (std::size_t i = 1; i < ps.size(); ++i) {
       if (util::time_gt(ps[i - 1].end, ps[i].start))
         complain("VM " + std::to_string(vm.id()) + ": " +
@@ -87,7 +101,7 @@ std::vector<std::string> validate(const dag::Workflow& wf, const Schedule& sched
     const Assignment& from = schedule.assignment(e.from);
     const Assignment& to = schedule.assignment(e.to);
     const util::Seconds transfer = platform.transfer_time(
-        wf.edge_data(e.from, e.to), pool.vm(from.vm), pool.vm(to.vm));
+        wf.edge_data(e), pool.vm(from.vm), pool.vm(to.vm));
     if (util::time_gt(from.end + transfer, to.start)) {
       std::ostringstream os;
       os << describe_task(wf, e.to) << " starts at " << to.start << "s but "

@@ -19,7 +19,9 @@ namespace cloudwf::sim {
 /// (empty means feasible):
 ///  - every task assigned exactly once, to an existing VM;
 ///  - task duration equals work / speedup of its VM's size;
-///  - placements on one VM do not overlap;
+///  - placements on one VM do not overlap, in start order: a timeline
+///    whose starts strictly ascend is read in place, and only any other
+///    timeline is copied and sorted first;
 ///  - the task table and the VM timelines agree;
 ///  - precedence: start(t) >= finish(p) + transfer_time(p -> t) for every
 ///    edge (p, t), with transfer evaluated on the assigned endpoints;

@@ -332,10 +332,19 @@ bool Server::handle_compute(HttpRequest&& request, QueuedRequest::Kind kind,
   queued.on_ready = [this, key = std::move(cache_key),
                      done = std::move(done)](HttpResponse&& response) mutable {
     if (!key.empty() && response.status == 200) {
+      const std::size_t bytes = key.size() + response.body.size();
+      const std::size_t budget = cache_byte_budget();
       const std::lock_guard<std::mutex> lock(cache_mutex_);
-      if (response_cache_.size() >= config_.response_cache_entries)
-        response_cache_.clear();
-      response_cache_[key] = {response.body, response.content_type};
+      if (bytes <= budget && !response_cache_.contains(key)) {
+        if (response_cache_.size() >= config_.response_cache_entries ||
+            cache_bytes_ + bytes > budget) {
+          response_cache_.clear();
+          cache_bytes_ = 0;
+        }
+        response_cache_.emplace(key, CachedResponse{response.body,
+                                                    response.content_type});
+        cache_bytes_ += bytes;
+      }
     }
     done(std::move(response));
   };
@@ -475,9 +484,11 @@ std::string Server::stats_body() const {
 
   util::Json cache = util::Json::object();
   cache["capacity"] = static_cast<std::int64_t>(config_.response_cache_entries);
+  cache["byte_capacity"] = static_cast<std::int64_t>(cache_byte_budget());
   {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     cache["entries"] = static_cast<std::int64_t>(response_cache_.size());
+    cache["bytes"] = static_cast<std::int64_t>(cache_bytes_);
   }
   cache["hits"] = count(counters_.cache_hits);
   cache["misses"] = count(counters_.cache_misses);

@@ -26,9 +26,11 @@
 // phases and counters live, along with per-loop epoll statistics.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,6 +48,12 @@
 
 namespace cloudwf::svc {
 
+/// The response cache's byte budget per configured entry. A single-cell
+/// /v1/evaluate answer and its key take about 430 bytes, so the default 8192
+/// entries hold 4 MiB; larger answers (a ranking of 19 strategies, a
+/// many-seed evaluation, a shard's rows) fill the cache in bytes first.
+inline constexpr std::size_t kResponseCacheBytesPerEntry = 512;
+
 struct ServerConfig {
   std::uint16_t port = 8080;  ///< 0 = ephemeral (tests/benches); see port()
   std::size_t workers = 4;    ///< compute pool size
@@ -53,7 +61,10 @@ struct ServerConfig {
   std::chrono::milliseconds request_timeout{5000};  ///< per-request deadline
   std::size_t max_connections = 128;  ///< concurrent connections; beyond, 503
   std::size_t event_loop_threads = 0;  ///< 0 = auto (cores/4, clamped to 1..4)
-  std::size_t response_cache_entries = 8192;  ///< 0 disables the cache
+  /// Response cache entries; 0 disables the cache. The cache also holds at
+  /// most kResponseCacheBytesPerEntry times this many bytes of keys and
+  /// bodies.
+  std::size_t response_cache_entries = 8192;
   /// IPv4 address to bind. Anything but loopback requires auth_token —
   /// start() refuses to expose an unauthenticated server to a network.
   std::string bind_address = "127.0.0.1";
@@ -143,8 +154,17 @@ class Server {
     std::string body;
     std::string content_type;
   };
+  [[nodiscard]] std::size_t cache_byte_budget() const noexcept {
+    // Saturates: --response-cache takes any size, and /stats reports int64.
+    constexpr std::size_t kMaxEntries =
+        static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max()) /
+        kResponseCacheBytesPerEntry;
+    return std::min(config_.response_cache_entries, kMaxEntries) *
+           kResponseCacheBytesPerEntry;
+  }
   mutable std::mutex cache_mutex_;
   std::unordered_map<std::string, CachedResponse> response_cache_;
+  std::size_t cache_bytes_ = 0;  ///< keys + bodies held; guarded by cache_mutex_
 
   /// Tenant accounts (POST /v1/tenants) and their request counters,
   /// surfaced per tenant in /stats. Guarded by tenants_mutex_: loop

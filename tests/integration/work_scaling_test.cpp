@@ -22,12 +22,12 @@
 namespace cloudwf {
 namespace {
 
-constexpr std::array<obs::Work, obs::kWorkCount> kCounters = {
-    obs::Work::reuse_slots_moved, obs::Work::reuse_vms_examined};
+constexpr std::array kCounters = {obs::Work::reuse_slots_moved,
+                                  obs::Work::reuse_vms_examined};
 constexpr std::uint64_t kMinimumCount = 1'000;
 constexpr double kMaxGrowth = 2.2;
 
-using Counts = std::array<std::uint64_t, obs::kWorkCount>;
+using Counts = std::array<std::uint64_t, kCounters.size()>;
 
 Counts counted(const scheduling::Strategy& strategy, const dag::Workflow& wf,
                const cloud::Platform& platform) {

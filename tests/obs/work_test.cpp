@@ -28,6 +28,7 @@ TEST(WorkCounters, CountersAreIndependentAndNamed) {
   EXPECT_EQ(work_total(Work::reuse_slots_moved), moved);
   EXPECT_EQ(name_of(Work::reuse_slots_moved), "reuse_slots_moved");
   EXPECT_EQ(name_of(Work::reuse_vms_examined), "reuse_vms_examined");
+  EXPECT_EQ(name_of(Work::workflow_checks), "workflow_checks");
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace cloudwf::sim {
 namespace {
 
@@ -106,6 +110,66 @@ TEST(Validator, SizeMismatchReported) {
   const auto issues = validate(f.wf, s, f.platform);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_NE(issues[0].find("sized for"), std::string::npos);
+}
+
+/// The overlap complaints the validator has always given one VM: copy its
+/// placements, std::sort them by start and compare neighbours.
+std::vector<std::string> sorted_walk_overlaps(const dag::Workflow& wf,
+                                              const cloud::Vm& vm) {
+  std::vector<cloud::Placement> ps(vm.placements());
+  std::sort(ps.begin(), ps.end(),
+            [](const cloud::Placement& x, const cloud::Placement& y) {
+              return x.start < y.start;
+            });
+  const auto describe = [&wf](dag::TaskId t) {
+    return "task '" + wf.task(t).name + "' (#" + std::to_string(t) + ")";
+  };
+  std::vector<std::string> out;
+  for (std::size_t i = 1; i < ps.size(); ++i)
+    if (util::time_gt(ps[i - 1].end, ps[i].start))
+      out.push_back("VM " + std::to_string(vm.id()) + ": " +
+                    describe(ps[i - 1].task) + " overlaps " +
+                    describe(ps[i].task));
+  return out;
+}
+
+// Vm::place lets a placement start up to the time slack before the previous
+// one ends, so a timeline can hold equal starts, and a start below an
+// earlier one. Such a timeline is not strictly ascending, and the validator
+// sorts a copy of it, as it always has.
+TEST(Validator, EqualStartsTakeTheSortedWalk) {
+  dag::Workflow wf("ties");
+  (void)wf.add_task("a", 1e-7);
+  (void)wf.add_task("b", 1e-7);
+  (void)wf.add_task("c", 100.0);
+  const cloud::Platform platform = cloud::Platform::ec2();
+  Schedule s(wf);
+  const cloud::VmId vm = s.rent(cloud::InstanceSize::small, 0);
+  s.assign(0, vm, 5e-7, 6e-7);
+  s.assign(1, vm, 5e-7, 6e-7);  // the same start as 'a'
+  s.assign(2, vm, 0.0, 100.0);  // within the slack of 'b''s end
+  const std::vector<std::string> issues = validate(wf, s, platform);
+  EXPECT_EQ(issues, std::vector<std::string>{
+                        "VM 0: task 'c' (#2) overlaps task 'a' (#0)"});
+  EXPECT_EQ(issues, sorted_walk_overlaps(wf, s.pool().vm(vm)));
+}
+
+// Only a strictly ascending timeline has one sorted order. With many equal
+// starts std::sort may reorder them (libstdc++'s introsort moves the long
+// placement here forward), so a walk in place could miss an overlap the
+// sorted walk reports.
+TEST(Validator, NonAscendingTimelineMatchesTheSortedWalk) {
+  constexpr dag::TaskId kTiny = 20;
+  dag::Workflow wf("crowd");
+  for (dag::TaskId t = 0; t < kTiny; ++t)
+    (void)wf.add_task("tiny" + std::to_string(t), 1e-7);
+  (void)wf.add_task("long", 100.0);
+  const cloud::Platform platform = cloud::Platform::ec2();
+  Schedule s(wf);
+  const cloud::VmId vm = s.rent(cloud::InstanceSize::small, 0);
+  for (dag::TaskId t = 0; t < kTiny; ++t) s.assign(t, vm, 0.0, 1e-7);
+  s.assign(kTiny, vm, 0.0, 100.0);
+  EXPECT_EQ(validate(wf, s, platform), sorted_walk_overlaps(wf, s.pool().vm(vm)));
 }
 
 }  // namespace

@@ -286,6 +286,50 @@ TEST_F(ServiceTest, StatsExposeEventLoopsAndResponseCache) {
   EXPECT_GT(cache.at("capacity").as_number(), 0.0);
 }
 
+// The response cache is bounded in bytes as well as entries: each entry
+// buys kResponseCacheBytesPerEntry bytes of keys and bodies, an answer
+// larger than the whole budget is not kept, and /stats reports the bytes.
+TEST(ServiceCache, BoundedInBytesAsWellAsEntries) {
+  ServerConfig config;
+  config.port = 0;
+  config.workers = 1;
+  config.response_cache_entries = 2;
+  Server server(config);
+  server.start();
+  HttpClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  const auto cache = [&client] {
+    const auto stats = client.request("GET", "/stats");
+    return Json::parse(stats->body).as_object().at("cache").as_object();
+  };
+  const auto status = [&client](const std::string& target,
+                                const std::string& body) {
+    const auto response = client.request("POST", target, body);
+    return response ? response->status : 0;
+  };
+
+  const std::string cell = R"({"workflow":"montage","strategy":"GAIN","seed":0})";
+  ASSERT_EQ(status("/v1/evaluate", cell), 200);
+  ASSERT_EQ(status("/v1/evaluate", cell), 200);
+  Json::Object stats = cache();
+  EXPECT_EQ(stats.at("byte_capacity").as_number(),
+            2.0 * static_cast<double>(kResponseCacheBytesPerEntry));
+  EXPECT_EQ(stats.at("hits").as_number(), 1.0);
+  EXPECT_EQ(stats.at("entries").as_number(), 1.0);
+  EXPECT_GT(stats.at("bytes").as_number(), 0.0);
+  EXPECT_LE(stats.at("bytes").as_number(), stats.at("byte_capacity").as_number());
+
+  // 19 ranked rows are more than the whole 1 KiB: answered, never kept.
+  const std::string rank = R"({"workflow":"montage","seed":0})";
+  ASSERT_EQ(status("/v1/rank", rank), 200);
+  ASSERT_EQ(status("/v1/rank", rank), 200);
+  stats = cache();
+  EXPECT_EQ(stats.at("hits").as_number(), 1.0);
+  EXPECT_EQ(stats.at("entries").as_number(), 1.0);
+  client.disconnect();
+  server.stop();
+}
+
 // The binary protocol's acceptance criterion mirrors the JSON one: answers
 // computed concurrently through the service are byte-identical to the
 // direct binary handler bodies, and errors come back as decodable frames.
